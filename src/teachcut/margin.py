@@ -33,7 +33,9 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
 
     At each position the first ``support_size`` candidates (the student's most
     probable ones) are ranked by teacher log-prob, ties broken by ascending
-    candidate id. A support larger than the available K clamps with a warning.
+    candidate id. A row shorter than ``support_size`` uses all of its
+    candidates; ``support_size_used`` is the support of the shortest row, and
+    a warning says when that is below ``support_size``.
     """
     if support_size < 2:
         raise ValueError(f"support_size must be at least 2, got {support_size}")
@@ -56,30 +58,13 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
             stacklevel=2)
     used = min(support_size, min_len)
 
-    k = candidates.uniform_row_length
-    if k is not None:
-        ids, _, teacher = candidates.matrices()
-        w = min(support_size, k)
-        ids = ids[:, :w]
-        teacher = teacher[:, :w]
-        order = np.lexsort((ids, -teacher))
-        rows = np.arange(num_positions)
-        top1 = order[:, 0]
-        top2 = order[:, 1]
-        values = teacher[rows, top1] - teacher[rows, top2]
-        return MarginSeries(values, top1.astype(np.int64), top2.astype(np.int64), used)
-
-    values = np.empty(num_positions)
-    top1 = np.empty(num_positions, dtype=np.int64)
-    top2 = np.empty(num_positions, dtype=np.int64)
-    offsets = candidates.offsets
-    for t in range(num_positions):
-        lo, hi = int(offsets[t]), int(offsets[t + 1])
-        w = min(support_size, hi - lo)
-        te = candidates.teacher_logp[lo:lo + w]
-        ids = candidates.ids[lo:lo + w]
-        order = np.lexsort((ids, -te))
-        top1[t] = order[0]
-        top2[t] = order[1]
-        values[t] = te[order[0]] - te[order[1]]
-    return MarginSeries(values, top1, top2, used)
+    # a short row's -inf padding ranks after all of its real candidates
+    w = min(support_size, candidates.ids.shape[1])
+    ids = candidates.ids[:, :w]
+    teacher = candidates.teacher_logp[:, :w]
+    order = np.lexsort((ids, -teacher))
+    rows = np.arange(num_positions)
+    top1 = order[:, 0]
+    top2 = order[:, 1]
+    values = teacher[rows, top1] - teacher[rows, top2]
+    return MarginSeries(values, top1.astype(np.int64), top2.astype(np.int64), used)

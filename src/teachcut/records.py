@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Any, Iterator, Sequence
+from itertools import accumulate
+from typing import Any, Iterator
 
 import numpy as np
 import orjson
@@ -66,55 +66,43 @@ class DataProcessingError(TeachcutError):
 
 @dataclass(frozen=True)
 class TopKCandidates:
-    """Per-position candidate sets, stored flat with row offsets.
+    """Per-position candidate sets as (T, Kmax) matrices, one row per position.
 
-    ``ids[offsets[t]:offsets[t+1]]`` are the student's top candidates at
-    position t, ordered by descending student probability. ``uniform_row_length``
-    is set when every position exposes the same K, which enables the matrix
-    fast path in the margin computation.
+    Row t holds the student's top ``lengths[t]`` candidates at position t,
+    ordered by descending student probability, then padding up to Kmax:
+    ``-inf`` in both log-prob matrices, a value no valid candidate takes, and
+    an arbitrary id. When every row is full the matrices are plain reshapes
+    of the concatenated rows.
     """
 
     ids: np.ndarray
     student_logp: np.ndarray
     teacher_logp: np.ndarray
-    offsets: np.ndarray
-    uniform_row_length: int | None
+    lengths: np.ndarray
 
     @property
     def num_positions(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.lengths)
 
     def row_lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, student_logp, teacher_logp) as (T, K) matrices.
-
-        Only valid when uniform_row_length is set.
-        """
-        k = self.uniform_row_length
-        if k is None:
-            raise ValueError("candidate rows are ragged; no matrix view exists")
-        t = self.num_positions
-        return (self.ids.reshape(t, k), self.student_logp.reshape(t, k),
-                self.teacher_logp.reshape(t, k))
+        return self.lengths
 
     @classmethod
-    def from_rows(cls, ids_rows: Sequence[Sequence[int]],
-                  student_rows: Sequence[Sequence[float]],
-                  teacher_rows: Sequence[Sequence[float]]) -> "TopKCandidates":
-        lens = list(map(len, ids_rows))
-        total = sum(lens)
-        ids = np.fromiter(chain.from_iterable(ids_rows), dtype=np.int64, count=total)
-        student = np.fromiter(chain.from_iterable(student_rows), dtype=np.float64, count=total)
-        teacher = np.fromiter(chain.from_iterable(teacher_rows), dtype=np.float64, count=total)
-        uniform = lens[0] if lens and min(lens) == max(lens) else None
-        if uniform is not None:
-            offsets = np.arange(0, total + uniform, uniform, dtype=np.int64)
-        else:
-            offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=offsets[1:])
-        return cls(ids, student, teacher, offsets, uniform)
+    def from_flat(cls, ids: np.ndarray, student_logp: np.ndarray,
+                  teacher_logp: np.ndarray, lengths: np.ndarray) -> "TopKCandidates":
+        """Pad the concatenated rows (int64 ids, float64 log-probs) of the
+        given lengths to (T, max length)."""
+        width = int(lengths.max()) if lengths.size else 0
+        shape = (lengths.size, width)
+        if ids.size == lengths.size * width:
+            return cls(ids.reshape(shape), student_logp.reshape(shape),
+                       teacher_logp.reshape(shape), lengths)
+        real = np.arange(width) < lengths[:, None]
+        padded = [np.zeros(shape, dtype=np.int64), np.full(shape, -np.inf),
+                  np.full(shape, -np.inf)]
+        for out, flat in zip(padded, (ids, student_logp, teacher_logp)):
+            out[real] = flat
+        return cls(*padded, lengths)
 
 
 @dataclass(frozen=True)
@@ -275,65 +263,47 @@ def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool,
     if te_lens != id_lens:
         raise RecordValidationError("length mismatch against topk.ids",
                                     field="topk.teacher_logp", line_number=line_number)
-    uniform = id_lens[0] if id_lens.count(id_lens[0]) == num_tokens else None
-    shortest = uniform if uniform is not None else min(id_lens)
-    if shortest < 2:
+    lengths = _pack(id_lens, "q")
+    shortest = int(lengths.argmin())
+    if lengths[shortest] < 2:
         raise RecordValidationError("fewer than 2 candidates",
-                                    field="topk.ids",
-                                    position=id_lens.index(shortest),
+                                    field="topk.ids", position=shortest,
                                     line_number=line_number)
 
+    # checked flat, before padding: a padded -inf is neither converted nor
+    # taken for a bad log-prob
     if probs:
         student = np.log(np.maximum(student, PROB_FLOOR))
         teacher = np.log(np.maximum(teacher, PROB_FLOOR))
     _check_logp(student, "topk.student_logp", line_number)
     _check_logp(teacher, "topk.teacher_logp", line_number)
 
-    if uniform is not None:
-        offsets = np.arange(0, len(ids) + uniform, uniform, dtype=np.int64)
-    else:
-        offsets = np.zeros(len(id_lens) + 1, dtype=np.int64)
-        np.cumsum(id_lens, out=offsets[1:])
-
-    _check_student_order(ids, student, offsets, uniform, num_tokens, line_number)
-    return TopKCandidates(ids, student, teacher, offsets, uniform)
+    candidates = TopKCandidates.from_flat(ids, student, teacher, lengths)
+    _check_student_order(candidates, line_number)
+    return candidates
 
 
-def _check_student_order(ids: np.ndarray, student: np.ndarray, offsets: np.ndarray,
-                         uniform: int | None, num_tokens: int,
+def _check_student_order(candidates: TopKCandidates,
                          line_number: int | None) -> None:
-    # top-K ordering: student_logp non-increasing, exact ties by ascending id
-    if uniform is not None:
-        st = student.reshape(num_tokens, uniform)
-        diff = np.diff(st, axis=1)
-        if (diff > 0.0).any():
-            pos = _first_true((diff > 0.0).any(axis=1))
-            raise RecordValidationError("not sorted by descending student log-prob",
-                                        field="topk.student_logp", position=pos,
-                                        line_number=line_number)
-        tie = diff == 0.0
-        if tie.any():
-            id_diff = np.diff(ids.reshape(num_tokens, uniform), axis=1)
-            bad = tie & (id_diff <= 0)
-            if bad.any():
-                pos = _first_true(bad.any(axis=1))
-                raise RecordValidationError(
-                    "tied student log-probs must order by ascending candidate id",
-                    field="topk.ids", position=pos, line_number=line_number)
-        return
-    for t in range(num_tokens):
-        lo, hi = offsets[t], offsets[t + 1]
-        st = student[lo:hi]
-        d = np.diff(st)
-        if (d > 0.0).any():
-            raise RecordValidationError("not sorted by descending student log-prob",
-                                        field="topk.student_logp", position=t,
-                                        line_number=line_number)
-        tie = d == 0.0
-        if tie.any() and (np.diff(ids[lo:hi])[tie] <= 0).any():
+    # top-K ordering: student_logp non-increasing, exact ties by ascending id.
+    # A pair with a padding entry diffs to -inf or NaN, neither a rise nor a tie.
+    with np.errstate(invalid="ignore"):
+        diff = np.diff(candidates.student_logp, axis=1)
+    rise = diff > 0.0
+    if rise.any():
+        raise RecordValidationError("not sorted by descending student log-prob",
+                                    field="topk.student_logp",
+                                    position=_first_true(rise.any(axis=1)),
+                                    line_number=line_number)
+    tie = diff == 0.0
+    if tie.any():
+        ids = candidates.ids
+        bad = tie & (ids[:, 1:] <= ids[:, :-1])
+        if bad.any():
             raise RecordValidationError(
                 "tied student log-probs must order by ascending candidate id",
-                field="topk.ids", position=t, line_number=line_number)
+                field="topk.ids", position=_first_true(bad.any(axis=1)),
+                line_number=line_number)
 
 
 def _segments_from_obj(raw: Any, num_tokens: int,
@@ -469,13 +439,12 @@ def rollout_to_obj(record: RolloutRecord) -> dict[str, Any]:
     }
     cand = record.candidates
     if cand is not None:
-        bounds = [(int(cand.offsets[t]), int(cand.offsets[t + 1]))
-                  for t in range(cand.num_positions)]
+        lengths = cand.lengths.tolist()
         obj["topk"] = {
-            "ids": [cand.ids[lo:hi].tolist() for lo, hi in bounds],
-            "student_logp": [cand.student_logp[lo:hi].tolist() for lo, hi in bounds],
-            "teacher_logp": [cand.teacher_logp[lo:hi].tolist() for lo, hi in bounds],
-        }
+            key: [row[:n] for row, n in zip(matrix.tolist(), lengths)]
+            for key, matrix in (("ids", cand.ids),
+                                ("student_logp", cand.student_logp),
+                                ("teacher_logp", cand.teacher_logp))}
     if record.segments is not None:
         obj["segments"] = [seg.tolist() for seg in record.segments]
     return obj

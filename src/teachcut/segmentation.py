@@ -13,6 +13,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .records import _segments_from_obj
+
 _TERMINALS = frozenset(".!?;:")
 _CLOSERS = "\"')]}"
 
@@ -50,23 +52,11 @@ class SegmentIndex:
         return np.concatenate(kept)
 
     @classmethod
-    def from_lists(cls, lists: Sequence[Sequence[int]], num_tokens: int) -> "SegmentIndex":
-        """Build from raw index lists: drop empties, enforce order and range."""
-        segments: list[np.ndarray] = []
-        prev_last = -1
-        for i, entry in enumerate(lists):
-            idx = np.asarray(entry, dtype=np.int64)
-            if idx.size == 0:
-                continue
-            if (np.diff(idx) <= 0).any():
-                raise ValueError(f"segment {i}: token indices not strictly ascending")
-            if idx[0] <= prev_last:
-                raise ValueError(f"segment {i}: overlaps or precedes an earlier segment")
-            if idx[0] < 0 or idx[-1] >= num_tokens:
-                raise ValueError(f"segment {i}: token index out of range [0, {num_tokens})")
-            prev_last = int(idx[-1])
-            segments.append(idx)
-        return cls(tuple(segments), num_tokens)
+    def from_lists(cls, lists: list[list[int]], num_tokens: int) -> "SegmentIndex":
+        """Build from raw index lists under the check a record's ``segments``
+        field gets: empties dropped, indices strictly increasing across the
+        lists and inside [0, num_tokens). Raises RecordValidationError."""
+        return cls(_segments_from_obj(lists, num_tokens, None), num_tokens)
 
 
 def segment_tokens(token_surfaces: Sequence[str]) -> SegmentIndex:

@@ -114,11 +114,10 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
     student_row = -0.5 * np.arange(1, k + 1, dtype=np.float64)
 
     candidates = TopKCandidates(
-        ids=np.tile(np.arange(k, dtype=np.int64), num_tokens),
-        student_logp=np.tile(student_row, num_tokens),
-        teacher_logp=teacher.reshape(-1),
-        offsets=np.arange(0, num_tokens * k + k, k, dtype=np.int64),
-        uniform_row_length=k,
+        ids=np.tile(np.arange(k, dtype=np.int64), (num_tokens, 1)),
+        student_logp=np.tile(student_row, (num_tokens, 1)),
+        teacher_logp=teacher,
+        lengths=np.full(num_tokens, k, dtype=np.int64),
     )
     tokens = (["tok"] * (tokens_per_segment - 1) + ["end."]) * num_segments
     segments = tuple(

@@ -2,6 +2,10 @@
 
 import json
 
+import numpy as np
+
+from teachcut.records import TopKCandidates
+
 
 def valid_obj(num_tokens=4, num_candidates=3):
     """A schema-valid rollout dict with descending candidate log-probs."""
@@ -32,3 +36,13 @@ def write_jsonl(path, objs):
         for obj in objs:
             handle.write(to_line(obj) + b"\n")
     return str(path)
+
+
+def candidates_from_rows(ids_rows, student_rows, teacher_rows):
+    """Unchecked TopKCandidates from per-position candidate lists."""
+    def flat(rows, dtype):
+        return np.array([v for row in rows for v in row], dtype=dtype)
+    lengths = np.array([len(row) for row in ids_rows], dtype=np.int64)
+    return TopKCandidates.from_flat(flat(ids_rows, np.int64),
+                                    flat(student_rows, np.float64),
+                                    flat(teacher_rows, np.float64), lengths)

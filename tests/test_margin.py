@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachcut.margin import teacher_top2_margin
-from teachcut.records import TopKCandidates
+
+from helpers import candidates_from_rows
 
 
 def build(teacher_rows, ids_rows=None):
@@ -12,7 +13,25 @@ def build(teacher_rows, ids_rows=None):
         ids_rows = [list(range(len(row))) for row in teacher_rows]
     student_rows = [[-0.5 * (j + 1) for j in range(len(row))]
                     for row in teacher_rows]
-    return TopKCandidates.from_rows(ids_rows, student_rows, teacher_rows)
+    return candidates_from_rows(ids_rows, student_rows, teacher_rows)
+
+
+def reference_margin(ids_rows, teacher_rows, support_size):
+    """One row at a time: rank the row's first min(support_size, length)
+    candidates by teacher log-prob, ties by ascending id."""
+    num_positions = len(teacher_rows)
+    values = np.empty(num_positions)
+    top1 = np.empty(num_positions, dtype=np.int64)
+    top2 = np.empty(num_positions, dtype=np.int64)
+    for t, (ids, te) in enumerate(zip(ids_rows, teacher_rows)):
+        w = min(support_size, len(te))
+        te = np.asarray(te[:w], dtype=np.float64)
+        order = np.lexsort((np.asarray(ids[:w], dtype=np.int64), -te))
+        top1[t] = order[0]
+        top2[t] = order[1]
+        values[t] = te[order[0]] - te[order[1]]
+    used = min(support_size, min(map(len, teacher_rows)))
+    return values, top1, top2, used
 
 
 def test_margin_is_top1_minus_top2():
@@ -55,13 +74,13 @@ def test_support_size_below_two_rejected():
 
 
 def test_single_candidate_position_rejected():
-    cands = TopKCandidates.from_rows([[0]], [[-0.5]], [[-0.1]])
+    cands = candidates_from_rows([[0]], [[-0.5]], [[-0.1]])
     with pytest.raises(ValueError, match="position 0"):
         teacher_top2_margin(cands)
 
 
 def test_empty_candidates():
-    cands = TopKCandidates.from_rows([], [], [])
+    cands = candidates_from_rows([], [], [])
     series = teacher_top2_margin(cands)
     assert len(series) == 0
 
@@ -71,7 +90,7 @@ def test_ragged_rows_use_per_row_support():
     with pytest.warns(RuntimeWarning, match="clamping"):
         series = teacher_top2_margin(cands, support_size=3)
     np.testing.assert_allclose(series.values, [0.1, 2.5])
-    assert cands.uniform_row_length is None
+    np.testing.assert_array_equal(cands.row_lengths(), [3, 2])
 
 
 def test_margins_are_non_negative():
@@ -79,33 +98,32 @@ def test_margins_are_non_negative():
     assert teacher_top2_margin(cands).values[0] >= 0.0
 
 
-@settings(max_examples=80)
+@settings(max_examples=150)
 @given(st.data())
-def test_rect_and_ragged_paths_agree(data):
+def test_margin_matches_per_row_reference(data):
+    # ragged rows, with teacher ties drawn often, against the per-row loop
     num_positions = data.draw(st.integers(1, 6))
-    width = data.draw(st.integers(2, 5))
-    support = data.draw(st.integers(2, 6))
-    logp = st.floats(min_value=-20.0, max_value=-0.01, allow_nan=False)
-    teacher_rows = [data.draw(st.lists(logp, min_size=width, max_size=width))
-                    for _ in range(num_positions)]
-    rect = build(teacher_rows)
-    assert rect.uniform_row_length == width
-
-    # same rows, but offsets built through the ragged path
-    ragged = TopKCandidates(rect.ids, rect.student_logp, rect.teacher_logp,
-                            rect.offsets, None)
-    kwargs = {"support_size": support}
-    if support > width:
-        with pytest.warns(RuntimeWarning):
-            a = teacher_top2_margin(rect, **kwargs)
-        with pytest.warns(RuntimeWarning):
-            b = teacher_top2_margin(ragged, **kwargs)
+    support = data.draw(st.integers(2, 7))
+    logp = st.one_of(st.sampled_from([-0.5, -1.0, -2.0]),
+                     st.floats(min_value=-20.0, max_value=-0.01))
+    teacher_rows, ids_rows = [], []
+    for _ in range(num_positions):
+        length = data.draw(st.integers(2, 6))
+        teacher_rows.append(data.draw(st.lists(logp, min_size=length,
+                                               max_size=length)))
+        ids_rows.append(data.draw(st.lists(st.integers(0, 50), min_size=length,
+                                           max_size=length, unique=True)))
+    cands = build(teacher_rows, ids_rows)
+    values, top1, top2, used = reference_margin(ids_rows, teacher_rows, support)
+    if used < support:
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            series = teacher_top2_margin(cands, support_size=support)
     else:
-        a = teacher_top2_margin(rect, **kwargs)
-        b = teacher_top2_margin(ragged, **kwargs)
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.top1_index, b.top1_index)
-    np.testing.assert_array_equal(a.top2_index, b.top2_index)
+        series = teacher_top2_margin(cands, support_size=support)
+    np.testing.assert_array_equal(series.values, values)
+    np.testing.assert_array_equal(series.top1_index, top1)
+    np.testing.assert_array_equal(series.top2_index, top2)
+    assert series.support_size_used == used
 
 
 @settings(max_examples=60)

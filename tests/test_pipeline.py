@@ -392,6 +392,9 @@ def test_diagnose_empty_and_junk_inputs(tmp_path):
 
 def test_probs_mode_matches_logp_mode(tmp_path):
     obj = planted_obj()
+    for t, keep in ((5, 2), (40, 3)):  # short rows
+        for key in ("ids", "student_logp", "teacher_logp"):
+            obj["topk"][key][t] = obj["topk"][key][t][:keep]
     prob_obj = json.loads(json.dumps(obj))
     topk = prob_obj["topk"]
     topk["student_logp"] = [[math.exp(v) for v in row]
@@ -410,6 +413,13 @@ def test_probs_mode_matches_logp_mode(tmp_path):
     assert prob_release["prefix_mask"] == log_release["prefix_mask"]
     assert prob_release["bic_gain"] == pytest.approx(log_release["bic_gain"],
                                                      rel=1e-6)
+    # the short rows' padding stays -inf: it is not a floored probability
+    log_cands = parse_rollout_line(to_line(obj)).candidates
+    prob_cands = parse_rollout_line(to_line(prob_obj), probs=True).candidates
+    np.testing.assert_allclose(prob_cands.teacher_logp, log_cands.teacher_logp,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prob_cands.student_logp, log_cands.student_logp,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_segments_source_builtin_overrides_record(tmp_path):

@@ -20,7 +20,7 @@ def test_parse_valid_record():
     assert record.num_tokens == 4
     assert record.candidates is not None
     assert record.candidates.num_positions == 4
-    assert record.candidates.uniform_row_length == 3
+    np.testing.assert_array_equal(record.candidates.row_lengths(), [3, 3, 3, 3])
     assert record.segments is not None
     np.testing.assert_array_equal(record.segments[0], [0, 1, 2, 3])
 
@@ -127,8 +127,11 @@ def test_topk_ragged_rows_accepted():
     for key in ("ids", "student_logp", "teacher_logp"):
         obj["topk"][key][1] = obj["topk"][key][1][:2]
     record = parse_rollout_line(to_line(obj))
-    assert record.candidates.uniform_row_length is None
     np.testing.assert_array_equal(record.candidates.row_lengths(), [3, 2, 3, 3])
+    # the short row is padded with -inf to the widest row
+    assert record.candidates.teacher_logp.shape == (4, 3)
+    assert record.candidates.student_logp[1, 2] == -math.inf
+    assert record.candidates.teacher_logp[1, 2] == -math.inf
 
 
 def test_topk_row_count_mismatch():
@@ -170,14 +173,42 @@ def test_candidate_ids_must_be_64_bit_integers(bad):
     assert info.value.field == "topk.ids"
 
 
-def test_student_order_enforced_on_ragged_rows():
+def short_first_row():
     obj = valid_obj()
     for key in ("ids", "student_logp", "teacher_logp"):
         obj["topk"][key][0] = obj["topk"][key][0][:2]
+    return obj
+
+
+def test_student_order_enforced_on_ragged_rows():
+    obj = short_first_row()
     obj["topk"]["student_logp"][2] = [-1.0, -0.5, -1.5]
     with pytest.raises(RecordValidationError, match="descending student") as info:
         parse_rollout_line(to_line(obj))
     assert info.value.position == 2
+
+    # order is checked within rows: a rise or a tie with descending ids
+    # across a row boundary is fine
+    obj = short_first_row()
+    obj["topk"]["student_logp"][1] = [-0.2, -1.0, -1.5]
+    parse_rollout_line(to_line(obj))
+    obj = short_first_row()
+    obj["topk"]["ids"][0] = [4, 5]
+    obj["topk"]["student_logp"][1] = [-1.0, -1.2, -1.5]
+    parse_rollout_line(to_line(obj))
+
+    # a rise or an id-descending tie inside a short row is not
+    obj = short_first_row()
+    obj["topk"]["student_logp"][0] = [-1.0, -0.5]
+    with pytest.raises(RecordValidationError, match="descending student") as info:
+        parse_rollout_line(to_line(obj))
+    assert (info.value.field, info.value.position) == ("topk.student_logp", 0)
+    obj = short_first_row()
+    obj["topk"]["student_logp"][0] = [-0.5, -0.5]
+    obj["topk"]["ids"][0] = [1, 0]
+    with pytest.raises(RecordValidationError, match="ascending candidate id") as info:
+        parse_rollout_line(to_line(obj))
+    assert (info.value.field, info.value.position) == ("topk.ids", 0)
 
 
 def test_segments_validation():
@@ -217,9 +248,9 @@ def test_probs_mode_converts_topk_only():
     obj["topk"]["student_logp"] = [[0.5, 0.25], [0.5, 0.25]]
     obj["topk"]["teacher_logp"] = [[0.8, 0.0], [0.8, 0.1]]
     record = parse_rollout_line(to_line(obj), probs=True)
-    assert record.candidates.student_logp[0] == pytest.approx(math.log(0.5))
+    assert record.candidates.student_logp[0, 0] == pytest.approx(math.log(0.5))
     # zero probability floors instead of -inf
-    assert record.candidates.teacher_logp[1] == pytest.approx(math.log(PROB_FLOOR))
+    assert record.candidates.teacher_logp[0, 1] == pytest.approx(math.log(PROB_FLOOR))
     # sampled arrays stay untouched
     np.testing.assert_array_equal(record.sampled_teacher_logp, [-0.2, -0.2])
 

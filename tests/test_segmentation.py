@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teachcut.records import RecordValidationError
 from teachcut.segmentation import (SegmentIndex, aggregate_segment_scores,
                                    segment_tokens)
 
@@ -66,13 +67,17 @@ def test_segment_index_helpers():
 
 
 def test_from_lists_validates():
-    SegmentIndex.from_lists([[0, 1], [], [2]], 3)  # empties dropped
-    with pytest.raises(ValueError, match="ascending"):
+    idx = SegmentIndex.from_lists([[0, 1], [], [2]], 3)  # empties dropped
+    assert len(idx) == 2
+    with pytest.raises(RecordValidationError, match="ascending") as info:
         SegmentIndex.from_lists([[1, 0]], 2)
-    with pytest.raises(ValueError, match="overlaps"):
+    assert (info.value.field, info.value.position) == ("segments", 0)
+    with pytest.raises(RecordValidationError, match="overlap") as info:
         SegmentIndex.from_lists([[0, 1], [1, 2]], 3)
-    with pytest.raises(ValueError, match="out of range"):
+    assert info.value.position == 1
+    with pytest.raises(RecordValidationError, match="out of range") as info:
         SegmentIndex.from_lists([[0, 5]], 3)
+    assert info.value.position == 0
 
 
 def test_aggregate_frozen_values():
