@@ -18,7 +18,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .changepoint import ChangeDecision
-from .segmentation import SegmentScores
+from .reweight import _retained_tokens
+from .segmentation import SegmentIndex, SegmentScores
 
 
 class BinAccumulator:
@@ -183,17 +184,21 @@ def release_summary(batch: Sequence[tuple[ChangeDecision, SegmentScores, int]],
     The relative release position of an accepted rollout is its retained token
     count divided by the response length.
     """
-    rows = []
-    for decision, scores, response_len in batch:
-        if decision.accepted:
-            cums = scores.segment_index.cumulative_token_counts()
-            retained = int(cums[decision.release_segment - 1])
-            rel = retained / response_len
-            rows.append((True, decision.bic_gain, rel,
-                         decision.mu_pre, decision.mu_post))
-        else:
-            rows.append((False, decision.bic_gain, 1.0, math.nan, math.nan))
+    rows = [_summary_row(decision, scores.segment_index, response_len)
+            for decision, scores, response_len in batch]
     return _summary_from_rows(rows, gain_threshold)
+
+
+def _summary_row(decision: ChangeDecision, segments: SegmentIndex,
+                 response_len: int) -> tuple[bool, float, float, float, float]:
+    """One decision as _summary_from_rows reads it; a rejected rollout keeps
+    all its tokens (relative position 1.0) and has no segment means."""
+    if not decision.accepted:
+        return (False, decision.bic_gain, 1.0, math.nan, math.nan)
+    retained = _retained_tokens(segments.cumulative_token_counts(),
+                                response_len, decision)
+    return (True, decision.bic_gain, retained / response_len,
+            decision.mu_pre, decision.mu_post)
 
 
 @dataclass(frozen=True)

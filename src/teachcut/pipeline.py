@@ -5,6 +5,13 @@ process pool; outputs are always written in input order, so results are
 bit-identical for any --jobs value. Release output echoes each input line
 verbatim and splices in a ``release`` object rather than re-encoding the
 record, which both preserves unknown fields and keeps the hot path cheap.
+
+Random release and permute read and parse the input once. Pass 1 checks
+each line on the pool and returns the record's decision as four scalars and
+a blob of what the rewrite needs; the main process spills each valid line
+with its blob to an anonymous temporary file (the input's size plus about 24
+bytes per token) and keeps only the scalars. Pass 2 draws the permutation
+and rewrites the spill in order in the main process, without the pool.
 """
 
 from __future__ import annotations
@@ -16,24 +23,27 @@ import logging
 import math
 import os
 import re
+import struct
+import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .changepoint import BIC_EPS, ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
-                          _finalize, _summary_from_rows, write_bins_csv,
-                          write_summary_csv)
+                          _finalize, _summary_from_rows, _summary_row,
+                          write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _float_array, decode_line, dumps_obj,
                       iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
                       sampled_advantage)
-from .reweight import (RESCALE_EPS, ReleaseResult, _permute_assignments,
+from .reweight import (RESCALE_EPS, ReleaseResult, _release_sources,
+                       _retained_tokens, _transferred_release,
                        build_prefix_mask, fixed_prefix_mask, rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores,
                            segment_tokens)
@@ -175,27 +185,22 @@ def _release_payload(accepted: bool, release_segment: int, bic_gain: float,
     }
 
 
-def _encode_release(obj: dict[str, Any], raw: bytes,
-                    payload: dict[str, Any]) -> tuple[tuple[int, int] | None, bytes]:
-    """Worker half of writing a release line: (span, encoded payload).
+def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
+    """Where the release payload goes in raw, as _splice_release takes it.
 
-    Only the payload crosses back to the main process, where _splice_release
-    puts it into the raw line it already holds. ``span`` is None when the
-    payload is appended as a new member; for a line whose object already has
-    a top-level "release" key it is the byte span of that key's value, which
-    the payload replaces, so every other byte of the line, unknown values
-    included, is echoed exactly as read.
+    None when the payload is appended as a new member; for a line whose
+    object already has a top-level "release" key, the byte span of that
+    key's value, which the payload replaces, so every other byte of the line,
+    unknown values included, is echoed exactly as read.
     """
-    body = dumps_obj(payload)
-    if "release" in obj:
-        return _member_value_span(raw, "release"), body
-    return None, body
+    return _member_value_span(raw, "release") if "release" in obj else None
 
 
 def _splice_release(raw: bytes, encoded: tuple[tuple[int, int] | None, bytes],
                     ) -> bytes:
-    """Main half: the output line for raw, newline included, from
-    _encode_release's result. Copies the ~100 kB echoed line only once."""
+    """The output line for raw, newline included, from (_release_span, the
+    encoded payload). Workers return only that pair, so the ~100 kB echoed
+    line is copied once, by the main process, which holds raw."""
     span, body = encoded
     line = memoryview(raw)
     if span is None:
@@ -423,7 +428,7 @@ def _release_line(line_number: int, raw: bytes, config: PipelineConfig,
         accepted, release_segment, gain = False, -1, 0.0
     payload = _release_payload(accepted, release_segment, gain, result.scale,
                                result.prefix_mask, result.rescaled_advantages)
-    return _encode_release(obj, raw, payload), accepted
+    return (_release_span(obj, raw), dumps_obj(payload)), accepted
 
 
 def process_batch(input_path: str, output_path: str,
@@ -436,7 +441,8 @@ def process_batch(input_path: str, output_path: str,
     _check_paths(input_path, output_path)
     jobs = _resolve_jobs(config.jobs)
     if config.strategy == "random_release":
-        return _random_release_batch(input_path, output_path, config, jobs)
+        return _transfer_batch(input_path, output_path, config, jobs,
+                               _own_decision)
 
     worker = partial(_run_lines, per_line=partial(_release_line, config=config))
     tally = _BatchTally(config.strict)
@@ -450,127 +456,128 @@ def process_batch(input_path: str, output_path: str,
 # batch-level controls: random release and permutation of existing outputs
 
 
-def _decide_line(line_number: int, raw: bytes, config: PipelineConfig) -> tuple:
-    record = parse_rollout_line(raw, probs=config.probs, line_number=line_number)
-    _, segments, _, decision = _analyze(record, config)
-    cums = segments.cumulative_token_counts()
-    total = segments.num_tokens
-    if decision.accepted:
-        retained = int(cums[decision.release_segment - 1])
-    else:
-        retained = total
-    return cums, total, decision.accepted, retained, decision.bic_gain
+_BLOB_HEAD = struct.Struct("4q")   # tokens, segments, release span or -1, -1
+_SPILL_HEAD = struct.Struct("3q")  # line number, line bytes, blob bytes
 
 
-def _existing_release_line(line_number: int, raw: bytes,
-                           config: PipelineConfig) -> tuple:
-    # pass 1 of `permute`: read decisions back out of a prior release output
+def _spill_line(line_number: int, raw: bytes, config: PipelineConfig,
+                decide: Callable) -> tuple:
+    """Pass 1 for one line: the decision as (total tokens, accepted, retained
+    tokens, BIC gain), and what pass 2 needs besides the line, as one blob:
+    a head of sizes and _release_span, the sampled advantage and loss mask,
+    the cumulative segment token counts and the concatenated segments."""
     obj = decode_line(raw, line_number=line_number)
     record = rollout_from_obj(obj, probs=config.probs, line_number=line_number)
+    segments, cums, accepted, retained, gain = decide(obj, record, config,
+                                                      line_number)
+    span = _release_span(obj, raw) or (-1, -1)
+    blob = b"".join((_BLOB_HEAD.pack(record.num_tokens, len(cums), *span),
+                     sampled_advantage(record), record.loss_mask, cums,
+                     segments.prefix_token_ids(len(segments))))
+    return (record.num_tokens, accepted, retained, gain), blob
+
+
+def _own_decision(obj: dict[str, Any], record: RolloutRecord,
+                  config: PipelineConfig, line_number: int) -> tuple:
+    # random release: the record's own BIC decision
+    _, segments, _, decision = _analyze(record, config)
+    cums = segments.cumulative_token_counts()
+    retained = _retained_tokens(cums, record.num_tokens, decision)
+    return segments, cums, decision.accepted, retained, decision.bic_gain
+
+
+def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
+                       config: PipelineConfig, line_number: int) -> tuple:
+    # permute: the decision a prior release output wrote
+    def invalid(message: str, key: str = "", position: int | None = None):
+        return RecordValidationError(message, field="release" + key,
+                                     position=position, line_number=line_number)
+
     release = obj.get("release")
     if not isinstance(release, dict):
-        raise RecordValidationError(
-            "missing release data; run release first", field="release",
-            line_number=line_number)
+        raise invalid("missing release data; run release first")
     accepted = release.get("accepted")
     if not isinstance(accepted, bool):
-        raise RecordValidationError("expected a boolean",
-                                    field="release.accepted",
-                                    line_number=line_number)
+        raise invalid("expected a boolean", ".accepted")
     gain = release.get("bic_gain")
     if (not isinstance(gain, (int, float)) or isinstance(gain, bool)
             or not math.isfinite(gain)):
-        raise RecordValidationError("expected a finite number",
-                                    field="release.bic_gain",
-                                    line_number=line_number)
+        raise invalid("expected a finite number", ".bic_gain")
     mask = release.get("prefix_mask")
     if not isinstance(mask, list) or len(mask) != record.num_tokens:
-        raise RecordValidationError(
-            "expected a list with one entry per token",
-            field="release.prefix_mask", line_number=line_number)
-    _float_array(mask, "release.prefix_mask", line_number)  # numbers only
+        raise invalid("expected a list with one entry per token", ".prefix_mask")
+    mask = _float_array(mask, "release.prefix_mask", line_number)
+    bad = (mask != 0.0) & (mask != 1.0)
+    if bad.any():
+        raise invalid("expected 0 or 1", ".prefix_mask", int(np.argmax(bad)))
     segments = _segment_index_for(record, config)
-    total = record.num_tokens
-    retained = int(round(float(sum(mask)))) if accepted else total
-    return (segments.cumulative_token_counts(), total, accepted, retained,
+    retained = int(mask.sum()) if accepted else record.num_tokens
+    return (segments, segments.cumulative_token_counts(), accepted, retained,
             float(gain))
 
 
-def _apply_line(line_number: int, raw: bytes, assignments: dict,
-                config: PipelineConfig,
-                ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
-    # pass 2: impose a transferred release point and rebuild the reweighting
-    obj = decode_line(raw, line_number=line_number)
-    record = rollout_from_obj(obj, probs=config.probs, line_number=line_number)
-    assignment = assignments.get(line_number)
-    if assignment is None:
-        raise TeachcutError(f"line {line_number}: record changed between passes")
-    segments = _segment_index_for(record, config)
-    decision = ChangeDecision(assignment.release_segment, assignment.accepted,
-                              assignment.bic_gain, None, None)
-    prefix_mask = build_prefix_mask(segments, decision, record.num_tokens)
-    rescaled, scale = rescale_advantages(sampled_advantage(record),
-                                         record.loss_mask, prefix_mask,
+def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
+                   decided: tuple[int, bool, int, float],
+                   config: PipelineConfig,
+                   ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
+    # pass 2: impose a source's decision on a spilled record
+    num_tokens, num_segments, start, end = _BLOB_HEAD.unpack_from(blob)
+    floats = np.frombuffer(blob, np.float64, 2 * num_tokens, _BLOB_HEAD.size)
+    ints = np.frombuffer(blob, np.int64, -1, _BLOB_HEAD.size + floats.nbytes)
+    cums, token_ids = ints[:num_segments], ints[num_segments:]
+    assignment = _transferred_release(source, decided, cums, num_tokens)
+    if assignment.accepted:
+        # tokens no segment holds stay 0, as in build_prefix_mask
+        prefix_mask = np.zeros(num_tokens)
+        prefix_mask[token_ids[:cums[assignment.release_segment - 1]]] = 1.0
+    else:
+        prefix_mask = np.ones(num_tokens)
+    rescaled, scale = rescale_advantages(floats[:num_tokens],
+                                         floats[num_tokens:], prefix_mask,
                                          eps=config.rescale_eps)
     payload = _release_payload(assignment.accepted, assignment.release_segment,
                                assignment.bic_gain, scale, prefix_mask,
                                rescaled)
-    return _encode_release(obj, raw, payload), assignment.accepted
+    span = (start, end) if start >= 0 else None
+    return (span, dumps_obj(payload)), assignment.accepted
 
 
-def _apply_chunk(task: tuple[Iterable[tuple[int, bytes]], dict],
-                 config: PipelineConfig) -> list[tuple]:
-    chunk, assignments = task
-    return _run_lines(chunk, partial(_apply_line, assignments=assignments,
-                                     config=config))
+def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
+             ) -> Iterator[tuple[list[tuple[int, bytes]], list[tuple]]]:
+    """Pass 2 as _write_release takes it: each spilled record, in order,
+    with the decision of the source the seeded permutation gives it."""
+    read = spill.read
+    for source in _release_sources(len(decided), config.random_seed):
+        line_number, raw_size, blob_size = _SPILL_HEAD.unpack(
+            read(_SPILL_HEAD.size))
+        line = [(line_number, read(raw_size))]
+        yield line, _run_lines(line, partial(
+            _transfer_line, blob=read(blob_size), source=source,
+            decided=decided[source], config=config))
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
-                    jobs: int, decide_worker: Callable) -> BatchReport:
+                    jobs: int, decide: Callable) -> BatchReport:
+    # the two passes described in the module docstring
     tally = _BatchTally(config.strict)
-    line_numbers: list[int] = []
-    cum_counts: list[np.ndarray] = []
-    totals: list[int] = []
-    accepted: list[bool] = []
-    retained: list[int] = []
-    gains: list[float] = []
-
-    for _, results in _map_chunks(_iter_chunks(input_path), decide_worker, jobs):
-        for item in results:
-            if item[0] == "ok":
-                line_numbers.append(item[1])
-                cum_counts.append(item[2])
-                totals.append(item[3])
-                accepted.append(item[4])
-                retained.append(item[5])
-                gains.append(item[6])
-            else:
-                tally.record_error(item[1], item[2])
-
-    if not line_numbers:
-        open(output_path, "wb").close()
-        return tally.report()
-
-    assignments = _permute_assignments(cum_counts, totals, accepted, retained,
-                                       gains, config.random_seed)
-    by_line = dict(zip(line_numbers, assignments))
-
-    def tasks() -> Iterator[tuple[list[tuple[int, bytes]], dict]]:
-        for chunk in _iter_chunks(input_path):
-            local = {ln: by_line[ln] for ln, _ in chunk if ln in by_line}
-            yield chunk, local
-
-    worker = partial(_apply_chunk, config=config)
-    _write_release(output_path,
-                   _map_chunks(tasks(), worker, jobs, keep=lambda task: task[0]),
-                   tally)
+    decided: list[tuple] = []
+    worker = partial(_run_lines, per_line=partial(_spill_line, config=config,
+                                                  decide=decide))
+    with tempfile.TemporaryFile() as spill:
+        for chunk, results in _map_chunks(_iter_chunks(input_path), worker,
+                                          jobs, keep=lambda chunk: chunk):
+            for (_, raw), item in zip(chunk, results):
+                if item[0] == "err":
+                    tally.record_error(item[1], item[2])
+                    continue
+                _, line_number, scalars, blob = item
+                spill.write(_SPILL_HEAD.pack(line_number, len(raw), len(blob)))
+                spill.write(raw)
+                spill.write(blob)
+                decided.append(scalars)
+        spill.seek(0)
+        _write_release(output_path, _rewrite(spill, decided, config), tally)
     return tally.report()
-
-
-def _random_release_batch(input_path: str, output_path: str,
-                          config: PipelineConfig, jobs: int) -> BatchReport:
-    decide = partial(_run_lines, per_line=partial(_decide_line, config=config))
-    return _transfer_batch(input_path, output_path, config, jobs, decide)
 
 
 def permute_batch(input_path: str, output_path: str,
@@ -585,9 +592,8 @@ def permute_batch(input_path: str, output_path: str,
     """
     _check_paths(input_path, output_path)
     jobs = _resolve_jobs(config.jobs)
-    decide = partial(_run_lines,
-                     per_line=partial(_existing_release_line, config=config))
-    return _transfer_batch(input_path, output_path, config, jobs, decide)
+    return _transfer_batch(input_path, output_path, config, jobs,
+                           _existing_decision)
 
 
 # ----------------------------------------------------------------------------
@@ -611,15 +617,7 @@ def _diagnose_chunk(chunk: list[tuple[int, bytes]], config: PipelineConfig,
                 continue
             adv_acc.add_series(sampled_advantage(record))
             margin_acc.add_series(margins.values)
-            if decision.accepted:
-                cums = segments.cumulative_token_counts()
-                relative = (int(cums[decision.release_segment - 1])
-                            / record.num_tokens)
-                rows.append((True, decision.bic_gain, relative,
-                             decision.mu_pre, decision.mu_post))
-            else:
-                rows.append((False, decision.bic_gain, 1.0,
-                             float("nan"), float("nan")))
+            rows.append(_summary_row(decision, segments, record.num_tokens))
     return adv_acc, margin_acc, rows, errors
 
 

@@ -102,27 +102,33 @@ def _snap_release_segment(cum_target: np.ndarray, retained_src: int,
     return min(pos + 1, len(cum_target))
 
 
-def _permute_assignments(cum_counts: Sequence[np.ndarray], totals: Sequence[int],
-                         accepted: Sequence[bool], retained: Sequence[int],
-                         gains: Sequence[float], seed: int) -> list[ReleaseAssignment]:
-    size = len(totals)
-    perm = np.random.default_rng(seed).permutation(size)
-    out: list[ReleaseAssignment] = []
-    for target, source in enumerate(perm):
-        source = int(source)
-        rel = retained[source] / totals[source]
-        n_target = len(cum_counts[target])
-        if accepted[source]:
-            segment = _snap_release_segment(cum_counts[target], retained[source],
-                                            totals[source], totals[target])
-        else:
-            segment = n_target
-        out.append(ReleaseAssignment(source_index=source,
-                                     accepted=bool(accepted[source]),
-                                     bic_gain=float(gains[source]),
-                                     relative_position=rel,
-                                     release_segment=segment))
-    return out
+def _retained_tokens(cums: np.ndarray, total: int, decision: ChangeDecision) -> int:
+    """Tokens a decision keeps: those of its first release_segment segments
+    when accepted, else all ``total``."""
+    return int(cums[decision.release_segment - 1]) if decision.accepted else total
+
+
+def _release_sources(size: int, seed: int) -> list[int]:
+    """Each target's source rollout in a batch: a seeded uniform permutation."""
+    return np.random.default_rng(seed).permutation(size).tolist()
+
+
+def _transferred_release(source: int, decided: tuple[int, bool, int, float],
+                         cum_target: np.ndarray,
+                         total_target: int) -> ReleaseAssignment:
+    """A source's decision, given as (total tokens, accepted, retained
+    tokens, BIC gain), imposed on a target with these cumulative segment
+    token counts."""
+    total, accepted, retained, gain = decided
+    if accepted:
+        segment = _snap_release_segment(cum_target, retained, total,
+                                        total_target)
+    else:
+        segment = len(cum_target)
+    return ReleaseAssignment(source_index=source, accepted=bool(accepted),
+                             bic_gain=float(gain),
+                             relative_position=retained / total,
+                             release_segment=segment)
 
 
 def permute_release_points(items: Sequence[tuple[SegmentIndex, ChangeDecision]],
@@ -136,20 +142,11 @@ def permute_release_points(items: Sequence[tuple[SegmentIndex, ChangeDecision]],
     """
     if not items:
         raise ValueError("empty batch")
-    cum_counts = []
-    totals = []
-    accepted = []
-    retained = []
-    gains = []
-    for segments, decision in items:
-        cums = segments.cumulative_token_counts()
-        total = segments.num_tokens
-        cum_counts.append(cums)
-        totals.append(total)
-        accepted.append(decision.accepted)
-        if decision.accepted:
-            retained.append(int(cums[decision.release_segment - 1]))
-        else:
-            retained.append(total)
-        gains.append(decision.bic_gain)
-    return _permute_assignments(cum_counts, totals, accepted, retained, gains, seed)
+    cum_counts = [segments.cumulative_token_counts() for segments, _ in items]
+    decided = [(segments.num_tokens, decision.accepted,
+                _retained_tokens(cums, segments.num_tokens, decision),
+                decision.bic_gain)
+               for cums, (segments, decision) in zip(cum_counts, items)]
+    return [_transferred_release(source, decided[source], cum_counts[target],
+                                 items[target][0].num_tokens)
+            for target, source in enumerate(_release_sources(len(items), seed))]

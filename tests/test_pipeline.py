@@ -2,17 +2,26 @@ import gc
 import json
 import logging
 import math
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teachcut import pipeline
+from teachcut.changepoint import ChangeDecision
 from teachcut.pipeline import (PipelineConfig, _gc_paused, _member_value_span,
                                diagnose_batch, dynamic_prefix_reweight,
                                permute_batch, process_batch)
-from teachcut.records import DataProcessingError, parse_rollout_line
-from teachcut.records import rollout_to_obj
+from teachcut.records import (DataProcessingError, TeachcutError,
+                              iter_jsonl_lines, parse_rollout_line,
+                              rollout_from_obj, rollout_to_obj,
+                              sampled_advantage)
+from teachcut.reweight import (build_prefix_mask, permute_release_points,
+                               rescale_advantages)
+from teachcut.segmentation import SegmentIndex, segment_tokens
 from teachcut.synthetic import SyntheticConfig, generate_piecewise_rollout
 
 from helpers import to_line, valid_obj
@@ -355,6 +364,199 @@ def test_permute_requires_release_objects(tmp_path):
     with pytest.raises(DataProcessingError):
         permute_batch(src, str(tmp_path / "strict.jsonl"),
                       PipelineConfig(strict=True))
+
+
+def seeded_transfer_lines():
+    """Sixty noisy records: every third with two short top-K rows, every
+    seventh without segments, others with segments that leave their first
+    token unassigned, some with a stale release key before the other keys,
+    one CRLF line; plus blank lines and three bad lines."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for i in range(60):
+        config = SyntheticConfig(num_segments=int(rng.integers(3, 12)),
+                                 tokens_per_segment=int(rng.integers(2, 8)),
+                                 true_tau=None if i % 5 == 0 else 2,
+                                 pre_margin_mean=2.0, noise_std=0.4, seed=i)
+        obj = rollout_to_obj(generate_piecewise_rollout(config, i)[0])
+        if i % 3 == 0:
+            for t in (0, len(obj["tokens"]) // 2):
+                for rows in obj["topk"].values():
+                    rows[t] = rows[t][:2]
+        if i % 7 == 0:
+            del obj["segments"]
+        elif i % 4 == 1:
+            obj["segments"] = [seg[1:] for seg in obj["segments"]]
+        if i % 11 == 2:
+            obj = {"release": {"stale": True}, **obj}
+        lines.append(json.dumps(obj).encode() + (b"\r" if i == 4 else b""))
+    bad_logp, bad_segments = json.loads(lines[1]), json.loads(lines[1])
+    bad_logp["teacher_logp"][0] = 0.5
+    bad_segments["segments"] = [[0, 0]]
+    lines[5:5] = [lines[1][:-7], b"", b"   "]
+    lines[20:20] = [json.dumps(bad_logp).encode()]
+    lines[33:33] = [json.dumps(bad_segments).encode()]
+    return lines
+
+
+def _segment_index(record):
+    if record.segments:
+        return SegmentIndex(record.segments, record.num_tokens)
+    return segment_tokens(record.token_surfaces)
+
+
+def _expected_transfer(src, decisions, seed):
+    """Per line number, the output object that permute_release_points,
+    build_prefix_mask and rescale_advantages give each valid record of src,
+    whose decisions are decisions(obj, record)."""
+    kept = []
+    for number, raw in enumerate(open(src, "rb").read().split(b"\n"), 1):
+        try:
+            obj = json.loads(raw)
+            record = rollout_from_obj(obj)
+            decision = decisions(obj, record)
+        except (ValueError, TeachcutError):
+            continue
+        kept.append((number, obj, record, _segment_index(record), decision))
+    assignments = permute_release_points(
+        [(seg, decision) for _, _, _, seg, decision in kept], seed)
+    expected = {}
+    for (number, obj, record, seg, _), moved in zip(kept, assignments):
+        decision = ChangeDecision(moved.release_segment, moved.accepted,
+                                  moved.bic_gain, None, None)
+        mask = build_prefix_mask(seg, decision, record.num_tokens)
+        rescaled, scale = rescale_advantages(sampled_advantage(record),
+                                             record.loss_mask, mask)
+        obj["release"] = {"accepted": moved.accepted,
+                          "release_segment": moved.release_segment,
+                          "bic_gain": moved.bic_gain, "scale": scale,
+                          "prefix_mask": mask.tolist(),
+                          "rescaled_advantages": rescaled.tolist()}
+        expected[number] = obj
+    return expected
+
+
+def test_transfers_match_per_record_functions(tmp_path):
+    src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
+    released = str(tmp_path / "released.jsonl")
+    assert process_batch(src, released).num_errors == 3
+
+    def own(obj, record):
+        return dynamic_prefix_reweight(record).decision
+
+    def written(obj, record):
+        release = obj["release"]
+        return ChangeDecision(release["release_segment"], release["accepted"],
+                              release["bic_gain"], None, None)
+
+    for name, path, decisions, run in [
+            ("random", src, own, lambda out, config: process_batch(
+                src, out, replace(config, strategy="random_release"))),
+            ("permute", released, written, lambda out, config: permute_batch(
+                released, out, config))]:
+        expected = _expected_transfer(path, decisions, seed=4)
+        outputs = []
+        for jobs in (1, 2):
+            out = str(tmp_path / f"{name}-{jobs}.jsonl")
+            report = run(out, PipelineConfig(jobs=jobs, random_seed=4))
+            assert report.num_records == len(expected) == 60
+            outputs.append(open(out, "rb").read())
+        assert outputs[0] == outputs[1]
+        assert read_objs(out) == list(expected.values())
+        # a stale release value is replaced, not followed by a second one
+        assert all(line.count(b'"release"') == 1
+                   for line in outputs[0].splitlines())
+
+
+def test_random_release_counts_each_bad_line_once(tmp_path, caplog):
+    src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
+    with caplog.at_level(logging.WARNING, logger="teachcut"):
+        bic = process_batch(src, str(tmp_path / "bic.jsonl"))
+        caplog.clear()
+        random = process_batch(src, str(tmp_path / "random.jsonl"),
+                               PipelineConfig(strategy="random_release"))
+    assert [number for number, _ in random.errors] == [6, 21, 34]
+    assert random.errors == bic.errors
+    assert caplog.messages == [message for _, message in random.errors]
+
+
+@pytest.mark.parametrize("value", [0.5, 7.0, -1.0])
+def test_permute_rejects_prefix_mask_not_0_or_1(tmp_path, value):
+    released = str(tmp_path / "released.jsonl")
+    process_batch(write_objs(tmp_path / "one.jsonl", [planted_obj()]), released)
+    obj = read_objs(released)[0]
+    obj["release"]["prefix_mask"][40] = value
+    obj["release"]["prefix_mask"][50] = value
+    src = write_objs(tmp_path / "in.jsonl", [obj])
+    report = permute_batch(src, str(tmp_path / "out.jsonl"))
+    assert (report.num_records, report.num_errors) == (0, 1)
+    assert report.errors[0][1] == ("line 1: release.prefix_mask at position "
+                                   "40: expected 0 or 1")
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_transfer_overflow_is_rejected_and_spill_removed(tmp_path,
+                                                         monkeypatch, strict):
+    # as in test_non_finite_release_is_rejected, but the rescale overflows in
+    # pass 2, from the spilled arrays: a one-token first segment is kept
+    obj = valid_obj()
+    obj["student_logp"][0] = -1.7e308
+    obj["loss_mask"][0] = 1e-300
+    obj["segments"] = [[0], [1, 2, 3]]
+    obj["release"] = {"accepted": True, "release_segment": 1, "bic_gain": 9.0,
+                      "prefix_mask": [1.0, 0.0, 0.0, 0.0]}
+    src = write_lines(tmp_path / "in.jsonl", [to_line(obj), b"not json"])
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    out = tmp_path / "out.jsonl"
+    config = PipelineConfig(strict=strict, jobs=1)
+    if strict:
+        # the bad JSON on line 2 is met first, in pass 1
+        with pytest.raises(DataProcessingError, match="at line 2"):
+            permute_batch(src, str(out), config)
+        src = write_lines(tmp_path / "in.jsonl", [to_line(obj)])
+        with pytest.raises(DataProcessingError,
+                           match="line 1: release.rescaled_advantages"):
+            permute_batch(src, str(out), config)
+        assert not out.exists()
+    else:
+        report = permute_batch(src, str(out), config)
+        assert report.num_records == 0
+        assert [message.split(":")[:2] for _, message in report.errors] == [
+            ["line 2", " invalid JSON"],
+            ["line 1", " release.rescaled_advantages at position 0"]]
+        assert out.read_bytes() == b""
+    assert list(spill_dir.iterdir()) == []
+
+
+def test_transfers_read_the_input_once_with_one_pool(tmp_path, monkeypatch):
+    # pass 2 rewrites what pass 1 spilled, without the pool or the input
+    reads, pools = [], []
+
+    def counted_lines(path):
+        reads.append(path)
+        return iter_jsonl_lines(path)
+
+    class CountedPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", counted_lines)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+    src = write_objs(tmp_path / "in.jsonl",
+                     [planted_obj(i, noise=0.4, seed=1) for i in range(6)])
+    released = str(tmp_path / "released.jsonl")
+    process_batch(src, released, PipelineConfig(jobs=2))
+    for run in (lambda out, config: permute_batch(released, out, config),
+                lambda out, config: process_batch(
+                    src, out, replace(config, strategy="random_release"))):
+        reads.clear()
+        pools.clear()
+        report = run(str(tmp_path / "out.jsonl"), PipelineConfig(jobs=2))
+        assert report.num_records == 6
+        assert (len(reads), len(pools)) == (1, 1)
 
 
 def test_diagnose_batch_outputs(tmp_path):
