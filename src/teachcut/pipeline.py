@@ -32,6 +32,7 @@ from functools import partial
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
+import orjson
 
 from .changepoint import BIC_EPS, ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
@@ -159,9 +160,10 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     else:
         raise ValueError("random_release is a batch-level strategy; "
                          "use process_batch")
-    rescaled, scale = rescale_advantages(sampled_advantage(record),
-                                         record.loss_mask, prefix_mask,
-                                         eps=config.rescale_eps)
+    with np.errstate(over="ignore"):  # _release_payload rejects what overflows
+        rescaled, scale = rescale_advantages(sampled_advantage(record),
+                                             record.loss_mask, prefix_mask,
+                                             eps=config.rescale_eps)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
 
 
@@ -192,8 +194,30 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
     object already has a top-level "release" key, the byte span of that
     key's value, which the payload replaces, so every other byte of the line,
     unknown values included, is echoed exactly as read.
+
+    A value written last, as release writes it, is found from the tail: the
+    last '"release"' is the key when ',' or '{' precedes it and ':' follows,
+    up to whitespace, and the trimmed bytes from the ':' to the final '}' are
+    exactly one JSON value. Other layouts cost a scan of the whole line.
     """
-    return _member_value_span(raw, "release") if "release" in obj else None
+    if "release" not in obj:
+        return None
+    # Exact: a '"' after ',', '{' or whitespace is unescaped and cannot close
+    # a string (a bare release is not JSON, even with NaN), so it opens the
+    # key "release". One whole value, then only whitespace and the final '}',
+    # means that '}' closes the object holding the key, which is thus the top
+    # level, and the key is its last member: the one a decoder keeps. As in
+    # _member_value_span, the span leaves out whitespace around the value.
+    first = before = raw.rfind(b'"release"')
+    while before > 0 and raw[before - 1] in _WHITESPACE:
+        before -= 1
+    tail = (_LAST_RELEASE.fullmatch(raw, first)
+            if before > 0 and raw[before - 1] in b",{" else None)
+    if tail:
+        with contextlib.suppress(orjson.JSONDecodeError):
+            orjson.loads(memoryview(raw)[tail.start(1):tail.end(1)])
+            return tail.span(1)
+    return _member_value_span(raw, "release")
 
 
 def _splice_release(raw: bytes, encoded: tuple[tuple[int, int] | None, bytes],
@@ -216,6 +240,8 @@ def _splice_release(raw: bytes, encoded: tuple[tuple[int, int] | None, bytes],
 
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 _WHITESPACE = b" \t\r\n"
+_LAST_RELEASE = re.compile(rb'"release"[ \t\r\n]*:[ \t\r\n]*'
+                           rb'(.*[^ \t\r\n])[ \t\r\n]*\}[ \t\r\n]*', re.DOTALL)
 
 
 def _member_value_span(raw: bytes, key: str) -> tuple[int, int]:
@@ -262,12 +288,6 @@ def _member_value_span(raw: bytes, key: str) -> tuple[int, int]:
     if span is None:
         raise ValueError(f"no top-level {key!r} member")
     return span
-
-
-def _error_message(exc: Exception, line_number: int) -> str:
-    message = str(exc)
-    prefix = f"line {line_number}: "
-    return message if message.startswith(prefix) else prefix + message
 
 
 # ----------------------------------------------------------------------------
@@ -375,18 +395,6 @@ def _write_release(output_path: str,
                 os.unlink(output_path)
 
 
-@contextlib.contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, restoring the caller's state."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _run_lines(chunk: Iterable[tuple[int, bytes]],
                per_line: Callable[[int, bytes], tuple]) -> list[tuple]:
     """("ok", line_number, *per_line(line_number, raw)) for each line of a
@@ -399,13 +407,19 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]],
     per line.
     """
     out: list[tuple] = []
-    with _gc_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         for line_number, raw in chunk:
             try:
                 out.append(("ok", line_number, *per_line(line_number, raw)))
             except TeachcutError as exc:
-                out.append(("err", line_number,
-                            _error_message(exc, line_number)))
+                prefix = f"line {line_number}: "
+                message = prefix + str(exc).removeprefix(prefix)
+                out.append(("err", line_number, message))
+    finally:
+        if enabled:  # the caller's state, also when a line aborts the chunk
+            gc.enable()
     return out
 
 
@@ -532,9 +546,10 @@ def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
         prefix_mask[token_ids[:cums[assignment.release_segment - 1]]] = 1.0
     else:
         prefix_mask = np.ones(num_tokens)
-    rescaled, scale = rescale_advantages(floats[:num_tokens],
-                                         floats[num_tokens:], prefix_mask,
-                                         eps=config.rescale_eps)
+    with np.errstate(over="ignore"):  # as in dynamic_prefix_reweight
+        rescaled, scale = rescale_advantages(floats[:num_tokens],
+                                             floats[num_tokens:], prefix_mask,
+                                             eps=config.rescale_eps)
     payload = _release_payload(assignment.accepted, assignment.release_segment,
                                assignment.bic_gain, scale, prefix_mask,
                                rescaled)
@@ -600,24 +615,27 @@ def permute_batch(input_path: str, output_path: str,
 # diagnostics over a batch
 
 
+def _diagnose_line(line_number: int, raw: bytes, config: PipelineConfig,
+                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    record = parse_rollout_line(raw, probs=config.probs, line_number=line_number)
+    margins, segments, _, decision = _analyze(record, config)
+    return (sampled_advantage(record), margins.values,
+            _summary_row(decision, segments, record.num_tokens))
+
+
 def _diagnose_chunk(chunk: list[tuple[int, bytes]], config: PipelineConfig,
                     ) -> tuple[BinAccumulator, BinAccumulator, list, list]:
     adv_acc = BinAccumulator(config.num_bins)
     margin_acc = BinAccumulator(config.num_bins)
     rows: list[tuple] = []
     errors: list[tuple[int, str]] = []
-    with _gc_paused():  # as in _run_lines
-        for line_number, raw in chunk:
-            try:
-                record = parse_rollout_line(raw, probs=config.probs,
-                                            line_number=line_number)
-                margins, segments, _, decision = _analyze(record, config)
-            except TeachcutError as exc:
-                errors.append((line_number, _error_message(exc, line_number)))
-                continue
-            adv_acc.add_series(sampled_advantage(record))
-            margin_acc.add_series(margins.values)
-            rows.append(_summary_row(decision, segments, record.num_tokens))
+    for item in _run_lines(chunk, partial(_diagnose_line, config=config)):
+        if item[0] == "err":
+            errors.append(item[1:])
+        else:
+            adv_acc.add_series(item[2])
+            margin_acc.add_series(item[3])
+            rows.append(item[4])
     return adv_acc, margin_acc, rows, errors
 
 

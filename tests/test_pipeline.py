@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from teachcut import pipeline
 from teachcut.changepoint import ChangeDecision
-from teachcut.pipeline import (PipelineConfig, _gc_paused, _member_value_span,
-                               diagnose_batch, dynamic_prefix_reweight,
-                               permute_batch, process_batch)
+from teachcut.pipeline import (PipelineConfig, _member_value_span,
+                               _release_span, diagnose_batch,
+                               dynamic_prefix_reweight, permute_batch,
+                               process_batch)
 from teachcut.records import (DataProcessingError, TeachcutError,
                               iter_jsonl_lines, parse_rollout_line,
                               rollout_from_obj, rollout_to_obj,
@@ -168,25 +169,26 @@ def test_failsoft_skips_bad_lines(tmp_path, caplog):
     assert len(read_objs(out)) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_release_is_rejected(tmp_path):
     # A legal record whose kept loss mass is tiny: the rescale factor
     # (3 / 1e-8) times a huge advantage overflows. JSON has no inf, so the
-    # record is rejected on its line instead of written as null or Infinity.
+    # record is rejected on its line instead of written as null or Infinity;
+    # that rejection is the only report (no numpy warning at jobs=1).
     obj = valid_obj()
     obj["student_logp"][0] = -1.7e308
     obj["loss_mask"][0] = 1e-300
     lines = [json.dumps(obj).encode(), json.dumps(valid_obj()).encode()]
     src = write_lines(tmp_path / "in.jsonl", lines)
     out = tmp_path / "out.jsonl"
-    config = PipelineConfig(strategy="fixed_prefix", prefix_tokens=1)
+    config = PipelineConfig(strategy="fixed_prefix", prefix_tokens=1, jobs=1)
     report = process_batch(src, str(out), config)
     assert (report.num_records, report.num_errors) == (1, 1)
     assert report.errors[0][1] == ("line 1: release.rescaled_advantages at "
                                    "position 0: rescaled advantage not finite")
     assert len(read_objs(out)) == 1
 
-    strict = PipelineConfig(strategy="fixed_prefix", prefix_tokens=1,
-                            strict=True)
+    strict = replace(config, strict=True)
     with pytest.raises(DataProcessingError, match="aborting at line 1"):
         process_batch(src, str(out), strict)
     assert not out.exists()
@@ -257,10 +259,12 @@ def test_permute_batch_preserves_positions(tmp_path):
     assert sorted(_release_rows(released)) == sorted(_release_rows(permuted))
 
 
-def test_permute_echoes_unknown_values_exactly(tmp_path):
+def test_permute_echoes_unknown_values_exactly(tmp_path, monkeypatch):
     # the release value is replaced inside the raw line, so values that a
     # decode and re-encode would change pass through byte for byte: an
-    # integer wider than 64 bits, a NaN literal and a lone-surrogate escape
+    # integer wider than 64 bits, a NaN literal and a lone-surrogate escape.
+    # A value written last is found from the line's tail; only a release key
+    # that is not last costs a scan of the whole line.
     objs = [planted_obj(i, noise=0.5, seed=2) for i in range(6)]
     released = str(tmp_path / "released.jsonl")
     process_batch(write_objs(tmp_path / "in.jsonl", objs), released)
@@ -272,9 +276,20 @@ def test_permute_echoes_unknown_values_exactly(tmp_path):
     marked += [line[:-1] + b', "after": {' + extra + b"}}" for line in lines[3:]]
     src = write_lines(tmp_path / "marked.jsonl", marked)
     plain, out = str(tmp_path / "plain.jsonl"), str(tmp_path / "out.jsonl")
-    config = PipelineConfig(random_seed=7)
+    scanned = []
+
+    def counted_scan(raw, key):
+        scanned.append(raw.rstrip(b"\n"))
+        return _member_value_span(raw, key)
+
+    monkeypatch.setattr(pipeline, "_member_value_span", counted_scan)
+    config = PipelineConfig(random_seed=7, jobs=1)
     assert permute_batch(released, plain, config).num_errors == 0
+    assert process_batch(released, str(tmp_path / "again.jsonl"),
+                         config).num_errors == 0
+    assert scanned == []
     assert permute_batch(src, out, config).num_errors == 0
+    assert scanned == marked[3:]
 
     key = b',"release":'
     for line, before, new, after in zip(
@@ -304,20 +319,45 @@ _JSON = st.recursive(
 @given(members=st.lists(st.tuples(_KEYS, _JSON), max_size=5),
        position=st.integers(0, 5), value=_JSON,
        separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", " :\n ")]),
-       ascii=st.booleans(), lead=st.sampled_from([b"", b" "]))
+       ascii=st.booleans(), lead=st.sampled_from([b"", b" "]),
+       end=st.sampled_from([b"}\n", b" }\r\n"]))
 def test_member_value_span_finds_the_top_level_key(members, position, value,
-                                                   separators, ascii, lead):
+                                                   separators, ascii, lead,
+                                                   end):
     members.insert(position, ("release", value))
     items = separators[0].join(
         json.dumps(k, ensure_ascii=ascii) + separators[1]
         + json.dumps(v, ensure_ascii=ascii, separators=separators)
         for k, v in members)
-    raw = lead + ("{" + items + "}").encode() + b"\n"
+    raw = lead + ("{" + items).encode() + end
     expected = dict(members)  # the last of duplicate keys wins, as in a decoder
-    start, end = _member_value_span(raw, "release")
-    assert json.loads(raw[start:end]) == expected["release"]
+    start, stop = _member_value_span(raw, "release")
+    assert _release_span(expected, raw) == (start, stop)
+    assert json.loads(raw[start:stop]) == expected["release"]
     expected["release"] = "new"
-    assert json.loads(raw[:start] + b'"new"' + raw[end:]) == expected
+    assert json.loads(raw[:start] + b'"new"' + raw[stop:]) == expected
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"a":1,"release":{"x":[1,2]}}\n',
+    b'{"a":1 ,\t"release" :\n {"x":[1,2]} \n}\n',
+    b'{"release":1,"a":{"release":2}}\n',         # nested key, last of the last
+    b'{"release":1,"a":[{"b":0,"release":2}]}\n',
+    b'{"release":1,"x\\"release":2}\n',           # escaped quote in a key
+    b'{"release":1,"note":"\\"release\\": 2"}\n',
+    b'{"release":1,"a":"release"}\n',             # a string value
+    b'{"release":1,"a":["b","release"]}\n',
+    b'{"release":[3],"a":0,"release":1}\n',       # duplicates
+    b'{"release":1,"release" : [3] }\n',
+    b'{"release":{"x":2},"a":0}\n',               # not last
+    b'{"a":1,"release":{"x":2}}\r\n',
+    b'{"a":NaN,"release":{"x":2}}\n',
+    b'{"release":{"x":NaN}}\n',
+    b' {"release":"\\ud800"}\n',
+])
+def test_release_span_from_the_tail_equals_the_scan(raw):
+    assert _release_span(json.loads(raw), raw) == _member_value_span(
+        raw, "release")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -338,9 +378,12 @@ def test_batches_restore_gc_state(tmp_path, enabled):
                                 PipelineConfig(jobs=1))
         assert result.report.num_errors == 2
         assert gc.isenabled() is enabled
+
+        def abort(line_number, raw):
+            raise KeyError("not a TeachcutError: aborts the chunk")
+
         with pytest.raises(KeyError):
-            with _gc_paused():
-                raise KeyError("inside the pause")
+            pipeline._run_lines([(1, good)], abort)
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -494,6 +537,7 @@ def test_permute_rejects_prefix_mask_not_0_or_1(tmp_path, value):
                                    "40: expected 0 or 1")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("strict", [False, True])
 def test_transfer_overflow_is_rejected_and_spill_removed(tmp_path,
                                                          monkeypatch, strict):
