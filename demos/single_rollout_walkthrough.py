@@ -9,7 +9,7 @@ reweighted advantages side by side. Run it directly:
 
 import numpy as np
 
-from teachcut import (SegmentIndex, SyntheticConfig, aggregate_segment_scores,
+from teachcut import (SyntheticConfig, aggregate_segment_scores,
                       detect_downward_change, dynamic_prefix_reweight,
                       generate_piecewise_rollout, sampled_advantage,
                       teacher_top2_margin)
@@ -29,8 +29,7 @@ def main():
           f"{truth.true_tau}\n")
 
     margins = teacher_top2_margin(record.candidates)
-    segments = SegmentIndex(record.segments, record.num_tokens)
-    scores = aggregate_segment_scores(margins, segments)
+    scores = aggregate_segment_scores(margins, record.segments)
     print("segment scores (log1p of the mean teacher margin):")
     for i, score in enumerate(scores.scores):
         print(f"  segment {i}: {score:6.3f} {bar(score, 20)}")

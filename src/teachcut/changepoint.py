@@ -64,7 +64,7 @@ def _running_moments(values: list[float]) -> tuple[np.ndarray, np.ndarray]:
     return means, m2s
 
 
-def detect_downward_change(scores: Any, *, eps: float = BIC_EPS) -> ChangeDecision:
+def detect_downward_change(scores: Any) -> ChangeDecision:
     """Select the best single downward drop in a segment-score sequence.
 
     ``scores`` may be a SegmentScores or any array-like. Degenerate inputs
@@ -84,7 +84,7 @@ def detect_downward_change(scores: Any, *, eps: float = BIC_EPS) -> ChangeDecisi
     values.reverse()
     mean_rev, m2_rev = _running_moments(values)
 
-    bic0 = n * math.log((m2_left[-1] + eps) / n) + math.log(n)
+    bic0 = n * math.log((m2_left[-1] + BIC_EPS) / n) + math.log(n)
 
     # entry i corresponds to tau = i + 1: prefix s[:tau], suffix s[tau:]
     ml = mean_left[: n - 1]
@@ -95,7 +95,7 @@ def detect_downward_change(scores: Any, *, eps: float = BIC_EPS) -> ChangeDecisi
     if downward.size == 0:
         return ChangeDecision(n, False, 0.0, float(mean_left[-1]), None)
 
-    bic1 = n * np.log((rss[downward] + eps) / n) + 3.0 * math.log(n)
+    bic1 = n * np.log((rss[downward] + BIC_EPS) / n) + 3.0 * math.log(n)
     best = int(np.argmin(bic1))
     best_bic = float(bic1[best])
     if best_bic >= bic0:

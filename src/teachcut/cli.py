@@ -154,9 +154,9 @@ def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                                  seed=args.seed)
         if args.rollouts < 1:
             raise ValueError(f"--rollouts must be at least 1, got {args.rollouts}")
+        data_path, truth_path = write_dataset(args.output, config, args.rollouts)
     except ValueError as exc:
         parser.error(str(exc))
-    data_path, truth_path = write_dataset(args.output, config, args.rollouts)
     print(f"simulate: wrote {args.rollouts} rollouts to {data_path} "
           f"(ground truth: {truth_path})", file=sys.stderr)
     return 0

@@ -195,9 +195,8 @@ def _summary_row(decision: ChangeDecision, segments: SegmentIndex,
     all its tokens (relative position 1.0) and has no segment means."""
     if not decision.accepted:
         return (False, decision.bic_gain, 1.0, math.nan, math.nan)
-    retained = _retained_tokens(segments.cumulative_token_counts(),
-                                response_len, decision)
-    return (True, decision.bic_gain, retained / response_len,
+    return (True, decision.bic_gain,
+            _retained_tokens(segments, decision) / response_len,
             decision.mu_pre, decision.mu_post)
 
 

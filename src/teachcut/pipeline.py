@@ -34,7 +34,7 @@ from typing import Any, BinaryIO, Callable, Iterable, Iterator
 import numpy as np
 import orjson
 
-from .changepoint import BIC_EPS, ChangeDecision, detect_downward_change
+from .changepoint import ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
                           _finalize, _summary_from_rows, _summary_row,
                           write_bins_csv, write_summary_csv)
@@ -43,9 +43,9 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _float_array, decode_line, dumps_obj,
                       iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
                       sampled_advantage)
-from .reweight import (RESCALE_EPS, ReleaseResult, _release_sources,
-                       _retained_tokens, _transferred_release,
-                       build_prefix_mask, fixed_prefix_mask, rescale_advantages)
+from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
+                       _transferred_release, build_prefix_mask,
+                       fixed_prefix_mask, rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores,
                            segment_tokens)
 
@@ -61,8 +61,6 @@ class PipelineConfig:
     """Batch-processing knobs; flag defaults match these field defaults."""
 
     support_size: int = 4
-    bic_eps: float = BIC_EPS
-    rescale_eps: float = RESCALE_EPS
     num_bins: int = 20
     gain_threshold: float = 6.0
     strategy: str = "bic_release"
@@ -89,10 +87,6 @@ class PipelineConfig:
             raise ValueError(f"num_bins must be at least 1, got {self.num_bins}")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        if not self.bic_eps > 0.0:
-            raise ValueError(f"bic_eps must be positive, got {self.bic_eps}")
-        if not self.rescale_eps > 0.0:
-            raise ValueError(f"rescale_eps must be positive, got {self.rescale_eps}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +114,8 @@ class DiagnoseResult:
 
 
 def _segment_index_for(record: RolloutRecord, config: PipelineConfig) -> SegmentIndex:
-    if (config.segments_source == "record" and record.segments is not None
-            and len(record.segments) > 0):
-        return SegmentIndex(record.segments, record.num_tokens)
+    if config.segments_source == "record" and record.segments:
+        return record.segments
     return segment_tokens(record.token_surfaces)
 
 
@@ -135,7 +128,7 @@ def _analyze(record: RolloutRecord, config: PipelineConfig,
                                   support_size=config.support_size)
     segments = _segment_index_for(record, config)
     scores = aggregate_segment_scores(margins, segments)
-    decision = detect_downward_change(scores, eps=config.bic_eps)
+    decision = detect_downward_change(scores)
     return margins, segments, scores, decision
 
 
@@ -162,8 +155,7 @@ def dynamic_prefix_reweight(record: RolloutRecord,
                          "use process_batch")
     with np.errstate(over="ignore"):  # _release_payload rejects what overflows
         rescaled, scale = rescale_advantages(sampled_advantage(record),
-                                             record.loss_mask, prefix_mask,
-                                             eps=config.rescale_eps)
+                                             record.loss_mask, prefix_mask)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
 
 
@@ -479,15 +471,15 @@ def _spill_line(line_number: int, raw: bytes, config: PipelineConfig,
     """Pass 1 for one line: the decision as (total tokens, accepted, retained
     tokens, BIC gain), and what pass 2 needs besides the line, as one blob:
     a head of sizes and _release_span, the sampled advantage and loss mask,
-    the cumulative segment token counts and the concatenated segments."""
+    and the segments' bounds and token ids."""
     obj = decode_line(raw, line_number=line_number)
     record = rollout_from_obj(obj, probs=config.probs, line_number=line_number)
-    segments, cums, accepted, retained, gain = decide(obj, record, config,
-                                                      line_number)
+    segments, accepted, retained, gain = decide(obj, record, config,
+                                                line_number)
     span = _release_span(obj, raw) or (-1, -1)
-    blob = b"".join((_BLOB_HEAD.pack(record.num_tokens, len(cums), *span),
-                     sampled_advantage(record), record.loss_mask, cums,
-                     segments.prefix_token_ids(len(segments))))
+    blob = b"".join((_BLOB_HEAD.pack(record.num_tokens, len(segments), *span),
+                     sampled_advantage(record), record.loss_mask,
+                     segments.bounds, segments.token_ids))
     return (record.num_tokens, accepted, retained, gain), blob
 
 
@@ -495,9 +487,8 @@ def _own_decision(obj: dict[str, Any], record: RolloutRecord,
                   config: PipelineConfig, line_number: int) -> tuple:
     # random release: the record's own BIC decision
     _, segments, _, decision = _analyze(record, config)
-    cums = segments.cumulative_token_counts()
-    retained = _retained_tokens(cums, record.num_tokens, decision)
-    return segments, cums, decision.accepted, retained, decision.bic_gain
+    return (segments, decision.accepted, _retained_tokens(segments, decision),
+            decision.bic_gain)
 
 
 def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
@@ -526,30 +517,23 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
         raise invalid("expected 0 or 1", ".prefix_mask", int(np.argmax(bad)))
     segments = _segment_index_for(record, config)
     retained = int(mask.sum()) if accepted else record.num_tokens
-    return (segments, segments.cumulative_token_counts(), accepted, retained,
-            float(gain))
+    return segments, accepted, retained, float(gain)
 
 
 def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
                    decided: tuple[int, bool, int, float],
-                   config: PipelineConfig,
                    ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
     # pass 2: impose a source's decision on a spilled record
     num_tokens, num_segments, start, end = _BLOB_HEAD.unpack_from(blob)
     floats = np.frombuffer(blob, np.float64, 2 * num_tokens, _BLOB_HEAD.size)
     ints = np.frombuffer(blob, np.int64, -1, _BLOB_HEAD.size + floats.nbytes)
-    cums, token_ids = ints[:num_segments], ints[num_segments:]
-    assignment = _transferred_release(source, decided, cums, num_tokens)
-    if assignment.accepted:
-        # tokens no segment holds stay 0, as in build_prefix_mask
-        prefix_mask = np.zeros(num_tokens)
-        prefix_mask[token_ids[:cums[assignment.release_segment - 1]]] = 1.0
-    else:
-        prefix_mask = np.ones(num_tokens)
+    segments = SegmentIndex._unchecked(ints[num_segments:], ints[:num_segments],
+                                       num_tokens)
+    assignment = _transferred_release(source, decided, segments)
+    prefix_mask = build_prefix_mask(segments, assignment, num_tokens)
     with np.errstate(over="ignore"):  # as in dynamic_prefix_reweight
         rescaled, scale = rescale_advantages(floats[:num_tokens],
-                                             floats[num_tokens:], prefix_mask,
-                                             eps=config.rescale_eps)
+                                             floats[num_tokens:], prefix_mask)
     payload = _release_payload(assignment.accepted, assignment.release_segment,
                                assignment.bic_gain, scale, prefix_mask,
                                rescaled)
@@ -568,7 +552,7 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
         line = [(line_number, read(raw_size))]
         yield line, _run_lines(line, partial(
             _transfer_line, blob=read(blob_size), source=source,
-            decided=decided[source], config=config))
+            decided=decided[source]))
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,

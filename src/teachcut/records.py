@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -105,6 +104,46 @@ class TopKCandidates:
         return cls(*padded, lengths)
 
 
+class SegmentIndex:
+    """Ordered, disjoint, non-empty token-index groups within one response,
+    held flat.
+
+    ``token_ids`` (int64) is strictly increasing inside [0, num_tokens);
+    ``bounds`` (int64) holds one cumulative token count per segment, so
+    segment i is ``token_ids[bounds[i - 1]:bounds[i]]`` (from 0 for i = 0)
+    and the first s segments are ``token_ids[:bounds[s - 1]]``. Iterating
+    yields the segments as views.
+    """
+
+    __slots__ = ("token_ids", "bounds", "num_tokens")
+
+    def __init__(self, segments: Iterable[Sequence[int]], num_tokens: int) -> None:
+        """Build from token-index sequences under the check a record's
+        ``segments`` field gets: empties dropped, indices strictly
+        increasing across the segments and inside [0, num_tokens). Raises
+        RecordValidationError naming the first failing segment."""
+        rows = [seg.tolist() if isinstance(seg, np.ndarray) else seg
+                for seg in segments]
+        self.token_ids, self.bounds = _segments_from_obj(rows, num_tokens, None)
+        self.num_tokens = num_tokens
+
+    @classmethod
+    def _unchecked(cls, token_ids: np.ndarray, bounds: np.ndarray,
+                   num_tokens: int) -> "SegmentIndex":
+        # for layouts valid by construction or checked already
+        index = cls.__new__(cls)
+        index.token_ids, index.bounds, index.num_tokens = (token_ids, bounds,
+                                                           num_tokens)
+        return index
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        ends = self.bounds.tolist()
+        return (self.token_ids[lo:hi] for lo, hi in zip([0, *ends], ends))
+
+
 @dataclass(frozen=True)
 class RolloutRecord:
     """One student rollout with per-token teacher/student log-probs."""
@@ -115,7 +154,7 @@ class RolloutRecord:
     sampled_student_logp: np.ndarray
     loss_mask: np.ndarray
     candidates: TopKCandidates | None = None
-    segments: tuple[np.ndarray, ...] | None = None
+    segments: SegmentIndex | None = None
 
     @property
     def num_tokens(self) -> int:
@@ -307,10 +346,11 @@ def _check_student_order(candidates: TopKCandidates,
 
 
 def _segments_from_obj(raw: Any, num_tokens: int,
-                       line_number: int | None) -> tuple[np.ndarray, ...]:
-    # One check on the concatenated indices: strictly increasing and inside
-    # [0, num_tokens) holds exactly when every segment is ascending, in range,
-    # and starts after the last non-empty one ends. Empty segments are dropped.
+                       line_number: int | None) -> tuple[np.ndarray, np.ndarray]:
+    # SegmentIndex's (token_ids, bounds). One check on the concatenated
+    # indices: strictly increasing and inside [0, num_tokens) holds exactly
+    # when every segment is ascending, in range, and starts after the last
+    # non-empty one ends. Empty segments are dropped.
     if not isinstance(raw, list):
         raise RecordValidationError("expected a list of token-index lists",
                                     field="segments", line_number=line_number)
@@ -321,9 +361,8 @@ def _segments_from_obj(raw: Any, num_tokens: int,
     else:
         if flat.size == 0 or (flat[0] >= 0 and flat[-1] < num_tokens
                               and (flat[1:] > flat[:-1]).all()):
-            ends = list(accumulate(lens))
-            return tuple(flat[lo:hi] for lo, hi in zip([0] + ends, ends)
-                         if hi > lo)
+            counts = np.array(lens, dtype=np.int64)
+            return flat, np.cumsum(counts)[counts > 0]
     raise _segments_error(raw, num_tokens, line_number)
 
 
@@ -409,7 +448,9 @@ def rollout_from_obj(obj: Any, *, probs: bool = False,
 
     segments = None
     if obj.get("segments") is not None:
-        segments = _segments_from_obj(obj["segments"], num_tokens, line_number)
+        segments = SegmentIndex._unchecked(
+            *_segments_from_obj(obj["segments"], num_tokens, line_number),
+            num_tokens)
 
     return RolloutRecord(rollout_id=rollout_id, token_surfaces=tokens,
                          sampled_teacher_logp=arrays["teacher_logp"],

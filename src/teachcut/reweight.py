@@ -28,7 +28,8 @@ class ReleaseResult:
     decision: ChangeDecision | None
 
 
-def build_prefix_mask(segments: SegmentIndex, decision: ChangeDecision,
+def build_prefix_mask(segments: SegmentIndex,
+                      decision: ChangeDecision | ReleaseAssignment,
                       response_len: int) -> np.ndarray:
     """1.0 on the union of retained segments when accepted, else on every token.
 
@@ -36,25 +37,20 @@ def build_prefix_mask(segments: SegmentIndex, decision: ChangeDecision,
     """
     if not decision.accepted:
         return np.ones(response_len)
+    if response_len < segments.num_tokens:
+        raise ValueError(f"token indices of a {segments.num_tokens}-token "
+                         f"segment index out of range [0, {response_len})")
     mask = np.zeros(response_len)
-    idx = segments.prefix_token_ids(decision.release_segment)
-    if idx.size:
-        lo = int(idx.min())
-        hi = int(idx.max())
-        if lo < 0 or hi >= response_len:
-            bad = hi if hi >= response_len else lo
-            raise ValueError(f"segment token index {bad} out of range "
-                             f"[0, {response_len})")
-        mask[idx] = 1.0
+    mask[segments.token_ids[:segments.bounds[decision.release_segment - 1]]] = 1.0
     return mask
 
 
 def rescale_advantages(advantages: np.ndarray, loss_mask: np.ndarray,
-                       prefix_mask: np.ndarray, *,
-                       eps: float = RESCALE_EPS) -> tuple[np.ndarray, float]:
+                       prefix_mask: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale masked advantages so the kept loss mass equals the original mass.
 
-    scale = sum(l) / max(sum(l * q), eps); rescaled[t] = A[t] * q[t] * scale.
+    scale = sum(l) / max(sum(l * q), RESCALE_EPS);
+    rescaled[t] = A[t] * q[t] * scale.
     Returns (rescaled, scale).
     """
     advantages = np.asarray(advantages, dtype=np.float64)
@@ -64,7 +60,7 @@ def rescale_advantages(advantages: np.ndarray, loss_mask: np.ndarray,
         raise ValueError("advantages, loss_mask, and prefix_mask lengths differ")
     total_mass = float(loss_mask.sum())
     kept_mass = float((loss_mask * prefix_mask).sum())
-    scale = total_mass / max(kept_mass, eps)
+    scale = total_mass / max(kept_mass, RESCALE_EPS)
     return advantages * prefix_mask * scale, scale
 
 
@@ -102,10 +98,12 @@ def _snap_release_segment(cum_target: np.ndarray, retained_src: int,
     return min(pos + 1, len(cum_target))
 
 
-def _retained_tokens(cums: np.ndarray, total: int, decision: ChangeDecision) -> int:
+def _retained_tokens(segments: SegmentIndex, decision: ChangeDecision) -> int:
     """Tokens a decision keeps: those of its first release_segment segments
-    when accepted, else all ``total``."""
-    return int(cums[decision.release_segment - 1]) if decision.accepted else total
+    when accepted, else all of the response."""
+    if decision.accepted:
+        return int(segments.bounds[decision.release_segment - 1])
+    return segments.num_tokens
 
 
 def _release_sources(size: int, seed: int) -> list[int]:
@@ -114,17 +112,15 @@ def _release_sources(size: int, seed: int) -> list[int]:
 
 
 def _transferred_release(source: int, decided: tuple[int, bool, int, float],
-                         cum_target: np.ndarray,
-                         total_target: int) -> ReleaseAssignment:
+                         target: SegmentIndex) -> ReleaseAssignment:
     """A source's decision, given as (total tokens, accepted, retained
-    tokens, BIC gain), imposed on a target with these cumulative segment
-    token counts."""
+    tokens, BIC gain), imposed on a target's segments."""
     total, accepted, retained, gain = decided
     if accepted:
-        segment = _snap_release_segment(cum_target, retained, total,
-                                        total_target)
+        segment = _snap_release_segment(target.bounds, retained, total,
+                                        target.num_tokens)
     else:
-        segment = len(cum_target)
+        segment = len(target)
     return ReleaseAssignment(source_index=source, accepted=bool(accepted),
                              bic_gain=float(gain),
                              relative_position=retained / total,
@@ -142,11 +138,8 @@ def permute_release_points(items: Sequence[tuple[SegmentIndex, ChangeDecision]],
     """
     if not items:
         raise ValueError("empty batch")
-    cum_counts = [segments.cumulative_token_counts() for segments, _ in items]
     decided = [(segments.num_tokens, decision.accepted,
-                _retained_tokens(cums, segments.num_tokens, decision),
-                decision.bic_gain)
-               for cums, (segments, decision) in zip(cum_counts, items)]
-    return [_transferred_release(source, decided[source], cum_counts[target],
-                                 items[target][0].num_tokens)
+                _retained_tokens(segments, decision), decision.bic_gain)
+               for segments, decision in items]
+    return [_transferred_release(source, decided[source], items[target][0])
             for target, source in enumerate(_release_sources(len(items), seed))]

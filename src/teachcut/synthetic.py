@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .records import RolloutRecord, TopKCandidates, dumps_obj, rollout_to_obj
+from .records import (RolloutRecord, SegmentIndex, TopKCandidates, dumps_obj,
+                      rollout_to_obj)
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,10 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
         lengths=np.full(num_tokens, k, dtype=np.int64),
     )
     tokens = (["tok"] * (tokens_per_segment - 1) + ["end."]) * num_segments
-    segments = tuple(
-        np.arange(i * tokens_per_segment, (i + 1) * tokens_per_segment, dtype=np.int64)
-        for i in range(num_segments))
+    segments = SegmentIndex._unchecked(
+        np.arange(num_tokens, dtype=np.int64),
+        np.arange(1, num_segments + 1, dtype=np.int64) * tokens_per_segment,
+        num_tokens)
 
     record = RolloutRecord(
         rollout_id=rollout_id if rollout_id is not None else f"sim-{index:06d}",
@@ -156,12 +158,16 @@ def write_dataset(path: str, config: SyntheticConfig,
     """Write a JSONL dataset plus a ground_truth.jsonl sidecar alongside it.
 
     Sidecar lines hold rollout_id, true_tau, and the planted per-token margins.
-    Returns (dataset_path, sidecar_path).
+    Returns (dataset_path, sidecar_path). Raises ValueError when ``path`` is
+    the sidecar's own path.
     """
     if num_rollouts < 1:
         raise ValueError(f"num_rollouts must be at least 1, got {num_rollouts}")
     truth_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                               "ground_truth.jsonl")
+    if os.path.abspath(path) == truth_path:
+        raise ValueError(f"dataset path {path} is the ground-truth sidecar's "
+                         f"path; choose another file name")
     with open(path, "wb") as data, open(truth_path, "wb") as truth:
         for index in range(num_rollouts):
             record, gt = generate_piecewise_rollout(config, index)

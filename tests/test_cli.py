@@ -138,6 +138,14 @@ def test_simulate_validation(tmp_path):
     expect_usage_exit(["simulate", "--out", out, "--noise", "-1"])
 
 
+def test_simulate_refuses_its_sidecar_path(tmp_path, capsys):
+    # the dataset and its ground_truth.jsonl sidecar would share one file
+    out = tmp_path / "ground_truth.jsonl"
+    expect_usage_exit(["simulate", "--out", str(out), "--rollouts", "3"])
+    assert "sidecar" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagnose_empty_input_reports(tmp_path, capsys):
     src = tmp_path / "empty.jsonl"
     src.write_bytes(b"")

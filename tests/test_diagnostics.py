@@ -103,7 +103,7 @@ def _scores(counts):
     for c in counts:
         lists.append(list(range(start, start + c)))
         start += c
-    idx = SegmentIndex.from_lists(lists, start)
+    idx = SegmentIndex(lists, start)
     return SegmentScores(np.zeros(len(counts)), idx)
 
 

@@ -713,8 +713,6 @@ def test_output_path_must_differ(tmp_path):
     (dict(support_size=1), "support_size"),
     (dict(num_bins=0), "num_bins"),
     (dict(jobs=0), "jobs"),
-    (dict(bic_eps=0.0), "bic_eps"),
-    (dict(rescale_eps=-1.0), "rescale_eps"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -22,7 +22,8 @@ def test_parse_valid_record():
     assert record.candidates.num_positions == 4
     np.testing.assert_array_equal(record.candidates.row_lengths(), [3, 3, 3, 3])
     assert record.segments is not None
-    np.testing.assert_array_equal(record.segments[0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(record.segments.token_ids, [0, 1, 2, 3])
+    np.testing.assert_array_equal(record.segments.bounds, [4])
 
 
 def test_advantage_is_teacher_minus_student():

@@ -20,7 +20,7 @@ def index(counts, num_tokens=None):
     for c in counts:
         lists.append(list(range(start, start + c)))
         start += c
-    return SegmentIndex.from_lists(lists, num_tokens or start)
+    return SegmentIndex(lists, num_tokens or start)
 
 
 def test_prefix_mask_covers_retained_segments():
@@ -36,13 +36,13 @@ def test_prefix_mask_rejected_keeps_everything():
 
 
 def test_prefix_mask_unassigned_tokens_stay_zero():
-    seg = SegmentIndex.from_lists([[1, 2]], 4)
+    seg = SegmentIndex([[1, 2]], 4)
     mask = build_prefix_mask(seg, decision(1), 4)
     np.testing.assert_array_equal(mask, [0, 1, 1, 0])
 
 
 def test_prefix_mask_range_check():
-    seg = SegmentIndex.from_lists([[0, 1, 2]], 3)
+    seg = SegmentIndex([[0, 1, 2]], 3)
     with pytest.raises(ValueError, match="out of range"):
         build_prefix_mask(seg, decision(1), 2)
 
@@ -122,7 +122,7 @@ def test_permute_homogeneous_batch_preserves_positions_exactly():
     after = sorted(a.release_segment for a in assignments)
     assert before == after
     rel_before = sorted(
-        (seg.cumulative_token_counts()[d.release_segment - 1] / 8
+        (seg.bounds[d.release_segment - 1] / 8
          if d.accepted else 1.0) for _, d in items)
     rel_after = sorted(a.relative_position for a in assignments)
     assert rel_before == rel_after

@@ -63,7 +63,8 @@ def test_generated_record_survives_schema_round_trip():
 def test_builtin_segmenter_reproduces_emitted_layout():
     record, _ = generate_rollout([1.0, 0.5, 0.0], tokens_per_segment=5)
     rebuilt = segment_tokens(record.token_surfaces)
-    assert [list(s) for s in rebuilt.segments] == [list(s) for s in record.segments]
+    np.testing.assert_array_equal(rebuilt.token_ids, record.segments.token_ids)
+    np.testing.assert_array_equal(rebuilt.bounds, record.segments.bounds)
 
 
 def test_sampled_advantage_encodes_half_margin():
