@@ -13,8 +13,8 @@ import os
 import sys
 
 from .diagnostics import snr_release_check
-from .pipeline import (PipelineConfig, diagnose_batch, permute_batch,
-                       process_batch)
+from .pipeline import (PipelineConfig, _check_paths, diagnose_batch,
+                       permute_batch, process_batch)
 from .records import DataProcessingError
 from .synthetic import SyntheticConfig, write_dataset
 
@@ -34,9 +34,15 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _require_input(parser: argparse.ArgumentParser, path: str) -> None:
+def _require_input(parser: argparse.ArgumentParser, path: str,
+                   output: str | None = None) -> None:
     if not os.path.isfile(path):
         parser.error(f"input file not found: {path}")
+    if output is not None:
+        try:
+            _check_paths(path, output)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _parse_strategy(parser: argparse.ArgumentParser,
@@ -103,7 +109,7 @@ def _report_line(verb: str, report) -> str:
 
 
 def _cmd_release(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input)
+    _require_input(parser, args.input, args.output)
     strategy, prefix_tokens = _parse_strategy(parser, args.strategy,
                                               args.prefix_tokens)
     config = _config_or_usage(parser, support_size=args.top_k,
@@ -133,7 +139,7 @@ def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_permute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input)
+    _require_input(parser, args.input, args.output)
     config = _config_or_usage(parser, segments_source=args.segments,
                               probs=args.probs, strict=args.strict,
                               jobs=args.jobs, random_seed=args.seed)

@@ -1,9 +1,10 @@
 """Batch rollout diagnostics: temporally binned statistics, release summaries,
 and the directional signal-to-noise release condition.
 
-Binned reductions accumulate (count, sum, sum of squares) per bin so partial
-results from independent workers merge associatively. Absent values (empty
-bins, undefined normalizations) are NaN in memory and empty cells in CSV.
+Binned reductions accumulate (count, sum, sum of squares) per bin; a
+series' partials can be computed apart, by a worker, and added in order.
+Absent values (empty bins, undefined normalizations) are NaN in memory and
+empty cells in CSV.
 """
 
 from __future__ import annotations
@@ -37,16 +38,15 @@ class BinAccumulator:
         self.sumsqs = np.zeros(num_bins)
 
     def add_series(self, values: Any) -> None:
-        values = np.asarray(getattr(values, "values", values), dtype=np.float64)
-        length = values.size
-        if length == 0:
-            raise ValueError("series must contain at least one value")
-        idx = (np.arange(length, dtype=np.int64) * self.num_bins) // length
-        np.minimum(idx, self.num_bins - 1, out=idx)
-        self.counts += np.bincount(idx, minlength=self.num_bins)
-        self.sums += np.bincount(idx, weights=values, minlength=self.num_bins)
-        self.sumsqs += np.bincount(idx, weights=values * values,
-                                   minlength=self.num_bins)
+        self.add_bins(_series_bins(values, self.num_bins))
+
+    def add_bins(self, bins: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Add one series' partials as _series_bins gives them; adding each
+        series' partials in order sums exactly as add_series does."""
+        counts, sums, sumsqs = bins
+        self.counts += counts
+        self.sums += sums
+        self.sumsqs += sumsqs
 
     def merge(self, other: "BinAccumulator") -> "BinAccumulator":
         if other.num_bins != self.num_bins:
@@ -56,6 +56,20 @@ class BinAccumulator:
         merged.sums = self.sums + other.sums
         merged.sumsqs = self.sumsqs + other.sumsqs
         return merged
+
+
+def _series_bins(values: Any, num_bins: int,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One series' per-bin (count, sum, sum of squares)."""
+    values = np.asarray(getattr(values, "values", values), dtype=np.float64)
+    length = values.size
+    if length == 0:
+        raise ValueError("series must contain at least one value")
+    idx = (np.arange(length, dtype=np.int64) * num_bins) // length
+    np.minimum(idx, num_bins - 1, out=idx)
+    return (np.bincount(idx, minlength=num_bins),
+            np.bincount(idx, weights=values, minlength=num_bins),
+            np.bincount(idx, weights=values * values, minlength=num_bins))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Streaming JSONL batch processing.
 
-Records are handled in fixed-size line chunks, optionally fanned out to a
-process pool; outputs are always written in input order, so results are
-bit-identical for any --jobs value. Release output echoes each input line
+Records are handled in chunks of about _CHUNK_BYTES of input, fanned out to
+a process pool when there is more than one chunk and more than one job;
+outputs are always written in input order, so results are bit-identical for
+any --jobs value. Release output echoes each input line
 verbatim and splices in a ``release`` object rather than re-encoding the
 record, which both preserves unknown fields and keeps the hot path cheap.
 
@@ -29,6 +30,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
@@ -36,8 +38,8 @@ import orjson
 
 from .changepoint import ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
-                          _finalize, _summary_from_rows, _summary_row,
-                          write_bins_csv, write_summary_csv)
+                          _finalize, _series_bins, _summary_from_rows,
+                          _summary_row, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _float_array, decode_line, dumps_obj,
@@ -53,7 +55,10 @@ logger = logging.getLogger("teachcut")
 
 STRATEGIES = ("bic_release", "full", "fixed_prefix", "random_release")
 
-_CHUNK_LINES = 64
+# A chunk ends at the first line that brings it to this many bytes, so the
+# chunks in flight, at most jobs * 4, hold jobs * 4 * (1 MiB + the longest
+# line) of input whatever the line size.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -288,11 +293,13 @@ def _member_value_span(raw: bytes, key: str) -> tuple[int, int]:
 
 def _iter_chunks(path: str) -> Iterator[list[tuple[int, bytes]]]:
     chunk: list[tuple[int, bytes]] = []
+    size = 0
     for item in iter_jsonl_lines(path):
         chunk.append(item)
-        if len(chunk) >= _CHUNK_LINES:
+        size += len(item[1])
+        if size >= _CHUNK_BYTES:
             yield chunk
-            chunk = []
+            chunk, size = [], 0
     if chunk:
         yield chunk
 
@@ -300,19 +307,23 @@ def _iter_chunks(path: str) -> Iterator[list[tuple[int, bytes]]]:
 def _map_chunks(items: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
                 keep: Callable[[Any], Any] = lambda item: None,
                 ) -> Iterator[tuple[Any, Any]]:
-    """(keep(item), worker(item)) for each item, in order; pooled when jobs > 1.
+    """(keep(item), worker(item)) for each item, in order.
 
-    Only what ``keep`` returns stays in the main process while its chunk is
-    out at a worker.
+    Pooled when jobs > 1 and there is a second item; a single item runs in
+    this process, which saves starting and stopping the pool. At most
+    jobs * 4 items are out at workers, and only what ``keep`` returns for
+    them stays in the main process.
     """
-    if jobs == 1:
-        for item in items:
+    items = iter(items)
+    head = list(islice(items, 2)) if jobs > 1 else []
+    if len(head) < 2:
+        for item in chain(head, items):
             yield keep(item), worker(item)
         return
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending: deque = deque()
         try:
-            for item in items:
+            for item in chain(head, items):
                 pending.append((keep(item), pool.submit(worker, item)))
                 if len(pending) >= jobs * 4:
                     kept, future = pending.popleft()
@@ -335,7 +346,11 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _check_paths(input_path: str, output_path: str) -> None:
-    if os.path.abspath(input_path) == os.path.abspath(output_path):
+    # opening the output truncates it, so it must not be the input under
+    # another name: a symlink or a hard link
+    if (os.path.abspath(input_path) == os.path.abspath(output_path)
+            or (os.path.exists(output_path)
+                and os.path.samefile(input_path, output_path))):
         raise ValueError("output path must differ from input path")
 
 
@@ -600,27 +615,14 @@ def permute_batch(input_path: str, output_path: str,
 
 
 def _diagnose_line(line_number: int, raw: bytes, config: PipelineConfig,
-                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
+                   ) -> tuple[tuple, tuple, tuple]:
+    # the record's own bin partials, which the main process adds in line
+    # order, so the bins do not depend on how the input was chunked
     record = parse_rollout_line(raw, probs=config.probs, line_number=line_number)
     margins, segments, _, decision = _analyze(record, config)
-    return (sampled_advantage(record), margins.values,
+    return (_series_bins(sampled_advantage(record), config.num_bins),
+            _series_bins(margins.values, config.num_bins),
             _summary_row(decision, segments, record.num_tokens))
-
-
-def _diagnose_chunk(chunk: list[tuple[int, bytes]], config: PipelineConfig,
-                    ) -> tuple[BinAccumulator, BinAccumulator, list, list]:
-    adv_acc = BinAccumulator(config.num_bins)
-    margin_acc = BinAccumulator(config.num_bins)
-    rows: list[tuple] = []
-    errors: list[tuple[int, str]] = []
-    for item in _run_lines(chunk, partial(_diagnose_line, config=config)):
-        if item[0] == "err":
-            errors.append(item[1:])
-        else:
-            adv_acc.add_series(item[2])
-            margin_acc.add_series(item[3])
-            rows.append(item[4])
-    return adv_acc, margin_acc, rows, errors
 
 
 def diagnose_batch(input_path: str, out_dir: str,
@@ -629,22 +631,25 @@ def diagnose_batch(input_path: str, out_dir: str,
 
     bins.csv bins per-token advantages over normalized position; margin_bins
     holds the normalized margin decay curve; summary.csv aggregates release
-    decisions. Nothing is written when no record survives validation.
+    decisions. The bins equal binned_advantage_stats and binned_margin_curve
+    over the valid records in input order. Nothing is written when no record
+    survives validation.
     """
     jobs = _resolve_jobs(config.jobs)
-    worker = partial(_diagnose_chunk, config=config)
+    worker = partial(_run_lines, per_line=partial(_diagnose_line, config=config))
     tally = _BatchTally(config.strict)
     adv_total = BinAccumulator(config.num_bins)
     margin_total = BinAccumulator(config.num_bins)
     rows: list[tuple] = []
 
-    for _, (adv_acc, margin_acc, chunk_rows, errors) in _map_chunks(
-            _iter_chunks(input_path), worker, jobs):
-        for line_number, message in errors:
-            tally.record_error(line_number, message)
-        adv_total = adv_total.merge(adv_acc)
-        margin_total = margin_total.merge(margin_acc)
-        rows.extend(chunk_rows)
+    for _, results in _map_chunks(_iter_chunks(input_path), worker, jobs):
+        for item in results:
+            if item[0] == "err":
+                tally.record_error(item[1], item[2])
+                continue
+            adv_total.add_bins(item[2])
+            margin_total.add_bins(item[3])
+            rows.append(item[4])
 
     tally.num_records = len(rows)
     tally.num_accepted = sum(1 for row in rows if row[0])

@@ -378,10 +378,10 @@ def _segments_error(raw: list, num_tokens: int,
             continue
         elif any(b <= a for a, b in zip(entry, entry[1:])):
             message = "token indices not strictly ascending"
-        elif entry[0] <= prev_last:
-            message = "segments overlap or are out of order"
         elif entry[0] < 0 or entry[-1] >= num_tokens:
             message = f"token index out of range [0, {num_tokens})"
+        elif entry[0] <= prev_last:
+            message = "segments overlap or are out of order"
         else:
             prev_last = entry[-1]
             continue

@@ -146,6 +146,30 @@ def test_simulate_refuses_its_sidecar_path(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("link", ["same", "symlink", "hardlink"])
+@pytest.mark.parametrize("command", ["release", "permute"])
+def test_output_resolving_to_input_is_refused(tmp_path, dataset, capsys,
+                                              command, link):
+    src = dataset
+    if command == "permute":
+        src = str(tmp_path / "released.jsonl")
+        assert run(["release", "--in", dataset, "--out", src]) == 0
+    before = open(src, "rb").read()
+    out = str(tmp_path / "out.jsonl")
+    if link == "same":
+        out = src
+    elif link == "symlink":
+        os.symlink(src, out)
+    else:
+        os.link(src, out)
+    capsys.readouterr()
+    expect_usage_exit([command, "--in", src, "--out", out])
+    err = capsys.readouterr().err
+    assert "error: output path must differ from input path" in err
+    assert "Traceback" not in err
+    assert open(src, "rb").read() == before
+
+
 def test_diagnose_empty_input_reports(tmp_path, capsys):
     src = tmp_path / "empty.jsonl"
     src.write_bytes(b"")

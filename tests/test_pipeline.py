@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from teachcut import pipeline
 from teachcut.changepoint import ChangeDecision
+from teachcut.diagnostics import (binned_advantage_stats, binned_margin_curve,
+                                  write_bins_csv)
+from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import (PipelineConfig, _member_value_span,
                                _release_span, diagnose_batch,
                                dynamic_prefix_reweight, permute_batch,
@@ -194,14 +197,95 @@ def test_non_finite_release_is_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_parallel_output_is_bit_identical(tmp_path):
+def count_pools(monkeypatch):
+    """The keyword arguments of each ProcessPoolExecutor the pipeline starts."""
+    pools = []
+
+    class CountedPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def test_parallel_output_is_bit_identical(tmp_path, monkeypatch):
+    # 80 records, 587 kB: several chunks of 64 kB, so jobs=2 runs the pool
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 16)
+    pools = count_pools(monkeypatch)
     objs = [planted_obj(i, noise=0.4, seed=5) for i in range(80)]
     src = write_objs(tmp_path / "in.jsonl", objs)
     one = str(tmp_path / "one.jsonl")
     two = str(tmp_path / "two.jsonl")
     process_batch(src, one, PipelineConfig(jobs=1))
+    assert pools == []
     process_batch(src, two, PipelineConfig(jobs=2))
+    assert pools == [{"max_workers": 2}]
     assert open(one, "rb").read() == open(two, "rb").read()
+
+
+def test_one_chunk_runs_in_process_at_any_jobs(tmp_path, monkeypatch):
+    pools = count_pools(monkeypatch)
+    objs = [planted_obj(i, noise=0.4, seed=5) for i in range(8)]
+    src = write_objs(tmp_path / "in.jsonl", objs)
+    outputs = {}
+    for jobs in (1, 2):
+        released = str(tmp_path / f"released{jobs}.jsonl")
+        permuted = str(tmp_path / f"permuted{jobs}.jsonl")
+        process_batch(src, released, PipelineConfig(jobs=jobs))
+        permute_batch(released, permuted,
+                      PipelineConfig(jobs=jobs, random_seed=4))
+        diagnose_batch(src, str(tmp_path / f"diag{jobs}"),
+                       PipelineConfig(jobs=jobs))
+        outputs[jobs] = [open(path, "rb").read() for path in (
+            released, permuted, *(str(tmp_path / f"diag{jobs}" / name) for name
+                                  in ("bins.csv", "margin_bins.csv",
+                                      "summary.csv")))]
+    assert pools == []
+    assert outputs[1] == outputs[2]
+
+
+def test_chunks_end_at_the_first_line_reaching_the_budget(tmp_path,
+                                                         monkeypatch):
+    budget = 100
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", budget)
+    # line sizes, newline included; 250 alone is over the budget
+    sizes = [30, 50, 10, 250, 40, 60, 5, 90, 20, 99, 2, 100, 7]
+    lines = [b"x" * (size - 1) for size in sizes]
+    src = write_lines(tmp_path / "in.jsonl", lines)
+    chunks = list(pipeline._iter_chunks(src))
+    assert [item for chunk in chunks for item in chunk] == list(
+        iter_jsonl_lines(src))
+    for chunk in chunks[:-1]:
+        lengths = [len(raw) for _, raw in chunk]
+        assert sum(lengths) >= budget
+        assert sum(lengths[:-1]) < budget
+    assert [[len(raw) for _, raw in chunk] for chunk in chunks] == [
+        [30, 50, 10, 250], [40, 60], [5, 90, 20], [99, 2], [100], [7]]
+
+
+def _stub_worker(item):
+    return -item
+
+
+def test_map_chunks_bounds_the_chunks_in_flight(monkeypatch):
+    pools = count_pools(monkeypatch)
+    jobs, pulled, consumed, in_flight = 2, [], [], []
+
+    def items():
+        for item in range(40):
+            pulled.append(item)
+            in_flight.append(len(pulled) - len(consumed))
+            yield item
+
+    for kept, result in pipeline._map_chunks(items(), _stub_worker, jobs,
+                                             keep=lambda item: item):
+        assert result == -kept
+        consumed.append(kept)
+    assert consumed == list(range(40))
+    assert len(pools) == 1
+    assert max(in_flight) == jobs * 4
 
 
 def _release_rows(path):
@@ -576,19 +660,16 @@ def test_transfer_overflow_is_rejected_and_spill_removed(tmp_path,
 
 def test_transfers_read_the_input_once_with_one_pool(tmp_path, monkeypatch):
     # pass 2 rewrites what pass 1 spilled, without the pool or the input
-    reads, pools = [], []
+    reads = []
 
     def counted_lines(path):
         reads.append(path)
         return iter_jsonl_lines(path)
 
-    class CountedPool(pipeline.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
-
+    # about two lines per chunk, so the six records need the pool
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 13)
     monkeypatch.setattr(pipeline, "iter_jsonl_lines", counted_lines)
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+    pools = count_pools(monkeypatch)
     src = write_objs(tmp_path / "in.jsonl",
                      [planted_obj(i, noise=0.4, seed=1) for i in range(6)])
     released = str(tmp_path / "released.jsonl")
@@ -621,6 +702,33 @@ def test_diagnose_batch_outputs(tmp_path):
     assert result.margin_bins.bin_mean[0] == pytest.approx(1.0)
     assert result.margin_bins.bin_mean[-1] < 0.5
     assert int(result.advantage_bins.bin_count.sum()) == 4 * 60 + 6
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 12, pipeline._CHUNK_BYTES])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_diagnose_bins_equal_the_library_over_valid_records(
+        tmp_path, monkeypatch, jobs, chunk_bytes):
+    # more than 64 valid records, so sums grouped by chunk would show
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", chunk_bytes)
+    lines = []
+    for i in range(90):
+        lines.append(to_line(planted_obj(i, noise=0.7, seed=11)))
+        if i % 20 == 7:
+            lines.append(b"{not json")
+    src = write_lines(tmp_path / "in.jsonl", lines)
+    out_dir = tmp_path / "diag"
+    result = diagnose_batch(src, str(out_dir), PipelineConfig(jobs=jobs))
+    assert (result.report.num_records, result.report.num_errors) == (90, 5)
+
+    records = [parse_rollout_line(raw) for raw in lines if raw[:2] != b"{n"]
+    for name, stats in (
+            ("bins.csv", binned_advantage_stats(
+                [sampled_advantage(record) for record in records])),
+            ("margin_bins.csv", binned_margin_curve(
+                [teacher_top2_margin(record.candidates) for record in records]))):
+        expected = tmp_path / ("expected_" + name)
+        write_bins_csv(stats, str(expected))
+        assert (out_dir / name).read_bytes() == expected.read_bytes()
 
 
 def test_diagnose_empty_and_junk_inputs(tmp_path):
@@ -699,10 +807,16 @@ def test_topk_required_only_for_bic(tmp_path):
 
 def test_output_path_must_differ(tmp_path):
     src = write_objs(tmp_path / "in.jsonl", [planted_obj()])
-    with pytest.raises(ValueError, match="must differ"):
-        process_batch(src, src)
-    with pytest.raises(ValueError, match="must differ"):
-        permute_batch(src, src)
+    before = open(src, "rb").read()
+    (tmp_path / "symlink.jsonl").symlink_to(src)
+    (tmp_path / "hardlink.jsonl").hardlink_to(src)
+    for out in (src, str(tmp_path / "symlink.jsonl"),
+                str(tmp_path / "hardlink.jsonl")):
+        with pytest.raises(ValueError, match="must differ"):
+            process_batch(src, out)
+        with pytest.raises(ValueError, match="must differ"):
+            permute_batch(src, out)
+    assert open(src, "rb").read() == before
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -225,6 +225,12 @@ def test_segments_validation():
     obj["segments"] = [[0, 1], [2, 4]]
     with pytest.raises(RecordValidationError, match="out of range"):
         parse_rollout_line(to_line(obj))
+    for bad, position in (([[-1, 0]], 0), ([[0, 1], [-5]], 1)):
+        obj["segments"] = bad
+        with pytest.raises(RecordValidationError,
+                           match="token index out of range") as info:
+            parse_rollout_line(to_line(obj))
+        assert (info.value.field, info.value.position) == ("segments", position)
 
     # neither truncated (1.7) nor an overflow (2**70 decodes as a float)
     for bad in (1.7, 2**70):

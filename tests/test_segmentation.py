@@ -87,6 +87,12 @@ def test_from_lists_validates():
     with pytest.raises(RecordValidationError, match="out of order") as info:
         SegmentIndex((np.array([2]), np.array([0, 1])), 3)
     assert (info.value.field, info.value.position) == ("segments", 1)
+    # a negative index is out of range, not out of order
+    for segments, position in (([[-1, 0]], 0), ([[0, 1], [-5]], 1)):
+        with pytest.raises(RecordValidationError,
+                           match=r"token index out of range \[0, 3\)") as info:
+            SegmentIndex(segments, 3)
+        assert (info.value.field, info.value.position) == ("segments", position)
 
 
 def test_aggregate_frozen_values():
