@@ -3,9 +3,9 @@
 Records are handled in chunks of about _CHUNK_BYTES of input, fanned out to
 a process pool when there is more than one chunk and more than one job;
 outputs are always written in input order, so results are bit-identical for
-any --jobs value. Release output echoes each input line
-verbatim and splices in a ``release`` object rather than re-encoding the
-record, which both preserves unknown fields and keeps the hot path cheap.
+any --jobs value. Release output echoes each input line verbatim and splices
+in a ``release`` object rather than re-encoding the record, which both
+preserves unknown fields and keeps the hot path cheap.
 
 Random release and permute read and parse the input once. Pass 1 checks
 each line on the pool and returns the record's decision as four scalars and
