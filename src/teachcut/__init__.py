@@ -8,34 +8,30 @@ advantage reweighting. Batch tooling adds diagnostics, synthetic data with
 planted structure, and a random-release control.
 """
 
-from .changepoint import (BIC_EPS, ChangeDecision, detect_downward_change,
-                          profiled_bic)
+from .changepoint import ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, BinnedStats, ReleaseSummary,
                           SnrReport, binned_advantage_stats,
-                          binned_margin_curve, release_improves_by_moments,
-                          release_summary, snr_release_check, write_bins_csv,
-                          write_snr_csv, write_summary_csv)
+                          binned_margin_curve, release_summary,
+                          snr_release_check, write_bins_csv, write_snr_csv,
+                          write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .pipeline import (BatchReport, DiagnoseResult, PipelineConfig,
                        diagnose_batch, dynamic_prefix_reweight, permute_batch,
                        process_batch)
-from .records import (PROB_FLOOR, DataProcessingError, RecordParseError,
+from .records import (DataProcessingError, RecordParseError,
                       RecordValidationError, RolloutRecord, TeachcutError,
                       TopKCandidates, parse_rollout_line, rollout_from_obj,
                       rollout_to_obj, sampled_advantage)
-from .reweight import (RESCALE_EPS, ReleaseAssignment, ReleaseResult,
-                       build_prefix_mask, fixed_prefix_mask,
+from .reweight import (ReleaseAssignment, ReleaseResult, build_prefix_mask,
                        permute_release_points, rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores,
                            aggregate_segment_scores, segment_tokens)
 from .synthetic import (GroundTruth, SyntheticConfig, generate_piecewise_rollout,
-                        generate_rollout, oracle_change_point, planted_scores,
-                        segment_mean_profile, write_dataset)
+                        generate_rollout, write_dataset)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BIC_EPS",
     "BatchReport",
     "BinAccumulator",
     "BinnedStats",
@@ -44,9 +40,7 @@ __all__ = [
     "DiagnoseResult",
     "GroundTruth",
     "MarginSeries",
-    "PROB_FLOOR",
     "PipelineConfig",
-    "RESCALE_EPS",
     "RecordParseError",
     "RecordValidationError",
     "ReleaseAssignment",
@@ -66,23 +60,17 @@ __all__ = [
     "detect_downward_change",
     "diagnose_batch",
     "dynamic_prefix_reweight",
-    "fixed_prefix_mask",
     "generate_piecewise_rollout",
     "generate_rollout",
-    "oracle_change_point",
     "parse_rollout_line",
     "permute_batch",
     "permute_release_points",
-    "planted_scores",
     "process_batch",
-    "profiled_bic",
-    "release_improves_by_moments",
     "release_summary",
     "rescale_advantages",
     "rollout_from_obj",
     "rollout_to_obj",
     "sampled_advantage",
-    "segment_mean_profile",
     "segment_tokens",
     "snr_release_check",
     "teacher_top2_margin",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -32,19 +32,6 @@ class ChangeDecision:
     bic_gain: float
     mu_pre: float | None
     mu_post: float | None
-
-
-def profiled_bic(values: Sequence[float], rss: float, num_params: int, *,
-                 eps: float = BIC_EPS) -> float:
-    """n * ln((rss + eps) / n) + num_params * ln(n) for n = len(values)."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("BIC requires at least one value")
-    if rss < 0.0:
-        raise ValueError(f"rss must be non-negative, got {rss}")
-    if num_params < 1:
-        raise ValueError(f"num_params must be positive, got {num_params}")
-    return n * math.log((rss + eps) / n) + num_params * math.log(n)
 
 
 def _running_moments(values: list[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,12 @@ import os
 import sys
 
 from .diagnostics import snr_release_check
-from .pipeline import (PipelineConfig, _check_paths, diagnose_batch,
-                       permute_batch, process_batch)
+from .pipeline import (PipelineConfig, _check_out_dir, _check_paths,
+                       diagnose_batch, permute_batch, process_batch)
 from .records import DataProcessingError
 from .synthetic import SyntheticConfig, write_dataset
 
+_STRATEGIES = {"bic": "bic_release", "full": "full", "random": "random_release"}
 _STRATEGY_HELP = "bic | full | fixed:K | random"
 
 
@@ -34,60 +35,40 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _require_input(parser: argparse.ArgumentParser, path: str,
-                   output: str | None = None) -> None:
-    if not os.path.isfile(path):
-        parser.error(f"input file not found: {path}")
-    if output is not None:
-        try:
-            _check_paths(path, output)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-
-def _parse_strategy(parser: argparse.ArgumentParser,
-                    spec: str, prefix_tokens: int | None) -> tuple[str, int | None]:
-    if spec == "bic":
-        name = "bic_release"
-    elif spec == "full":
-        name = "full"
-    elif spec == "random":
-        name = "random_release"
-    elif spec == "fixed" or spec.startswith("fixed:"):
-        if spec != "fixed":
-            try:
-                embedded = int(spec.split(":", 1)[1])
-            except ValueError:
-                parser.error(f"invalid strategy {spec!r}: K must be an integer")
-            if prefix_tokens is not None and prefix_tokens != embedded:
-                parser.error(f"--prefix-tokens {prefix_tokens} conflicts with "
-                             f"--strategy {spec}")
-            prefix_tokens = embedded
-        if prefix_tokens is None:
-            parser.error("--strategy fixed requires --prefix-tokens "
-                         "(or the fixed:K form)")
-        if prefix_tokens < 1:
-            parser.error(f"prefix length must be at least 1, got {prefix_tokens}")
-        return "fixed_prefix", prefix_tokens
-    else:
-        parser.error(f"unknown strategy {spec!r} (expected {_STRATEGY_HELP})")
-    if prefix_tokens is not None:
-        parser.error("--prefix-tokens only applies to --strategy fixed")
-    return name, None
-
-
-def _config_or_usage(parser: argparse.ArgumentParser, **kwargs) -> PipelineConfig:
+def _or_usage(parser: argparse.ArgumentParser, call, *args, **kwargs):
+    """call(*args, **kwargs), with a ValueError made a usage error."""
     try:
-        return PipelineConfig(**kwargs)
+        return call(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str) -> None:
+def _require_input(parser: argparse.ArgumentParser, path: str) -> None:
+    if not os.path.isfile(path):
+        parser.error(f"input file not found: {path}")
+
+
+def _parse_strategy(parser: argparse.ArgumentParser,
+                    spec: str) -> tuple[str, int | None]:
+    if spec in _STRATEGIES:
+        return _STRATEGIES[spec], None
+    if not spec.startswith("fixed:"):
+        parser.error(f"unknown strategy {spec!r} (expected {_STRATEGY_HELP})")
+    try:
+        prefix_tokens = int(spec.removeprefix("fixed:"))
+    except ValueError:
+        parser.error(f"invalid strategy {spec!r}: K must be an integer")
+    if prefix_tokens < 1:
+        parser.error(f"prefix length must be at least 1, got {prefix_tokens}")
+    return "fixed_prefix", prefix_tokens
+
+
+def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str,
+                  out_metavar: str = "PATH") -> None:
     sub.add_argument("--in", dest="input", required=True, metavar="PATH",
                      help="input JSONL file")
-    sub.add_argument("--out", dest="output", required=True, metavar="PATH",
-                     help=out_help)
+    sub.add_argument("--out", dest="output", required=True,
+                     metavar=out_metavar, help=out_help)
 
 
 def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
@@ -109,14 +90,14 @@ def _report_line(verb: str, report) -> str:
 
 
 def _cmd_release(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input, args.output)
-    strategy, prefix_tokens = _parse_strategy(parser, args.strategy,
-                                              args.prefix_tokens)
-    config = _config_or_usage(parser, support_size=args.top_k,
-                              strategy=strategy, prefix_tokens=prefix_tokens,
-                              segments_source=args.segments, probs=args.probs,
-                              strict=args.strict, jobs=args.jobs,
-                              random_seed=args.seed)
+    _require_input(parser, args.input)
+    _or_usage(parser, _check_paths, args.input, args.output)
+    strategy, prefix_tokens = _parse_strategy(parser, args.strategy)
+    config = _or_usage(parser, PipelineConfig, support_size=args.top_k,
+                       strategy=strategy, prefix_tokens=prefix_tokens,
+                       segments_source=args.segments, probs=args.probs,
+                       strict=args.strict, jobs=args.jobs,
+                       random_seed=args.seed)
     report = process_batch(args.input, args.output, config)
     print(_report_line("release", report), file=sys.stderr)
     return 0
@@ -124,11 +105,11 @@ def _cmd_release(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require_input(parser, args.input)
-    config = _config_or_usage(parser, support_size=args.top_k,
-                              num_bins=args.bins,
-                              gain_threshold=args.gain_threshold,
-                              segments_source=args.segments, probs=args.probs,
-                              strict=args.strict, jobs=args.jobs)
+    _or_usage(parser, _check_out_dir, args.output)
+    config = _or_usage(parser, PipelineConfig, support_size=args.top_k,
+                       num_bins=args.bins, gain_threshold=args.gain_threshold,
+                       segments_source=args.segments, probs=args.probs,
+                       strict=args.strict, jobs=args.jobs)
     result = diagnose_batch(args.input, args.output, config)
     print(_report_line("diagnose", result.report), file=sys.stderr)
     if not result.paths:
@@ -139,41 +120,32 @@ def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_permute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input, args.output)
-    config = _config_or_usage(parser, segments_source=args.segments,
-                              probs=args.probs, strict=args.strict,
-                              jobs=args.jobs, random_seed=args.seed)
+    _require_input(parser, args.input)
+    _or_usage(parser, _check_paths, args.input, args.output)
+    config = _or_usage(parser, PipelineConfig, segments_source=args.segments,
+                       probs=args.probs, strict=args.strict, jobs=args.jobs,
+                       random_seed=args.seed)
     report = permute_batch(args.input, args.output, config)
     print(_report_line("permute", report), file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        config = SyntheticConfig(num_segments=args.n,
-                                 tokens_per_segment=args.tokens_per_segment,
-                                 true_tau=args.tau,
-                                 pre_margin_mean=args.pre,
-                                 post_margin_mean=args.post,
-                                 noise_std=args.noise,
-                                 support_size=args.top_k,
-                                 seed=args.seed)
-        if args.rollouts < 1:
-            raise ValueError(f"--rollouts must be at least 1, got {args.rollouts}")
-        data_path, truth_path = write_dataset(args.output, config, args.rollouts)
-    except ValueError as exc:
-        parser.error(str(exc))
+    config = _or_usage(parser, SyntheticConfig, num_segments=args.n,
+                       tokens_per_segment=args.tokens_per_segment,
+                       true_tau=args.tau, pre_margin_mean=args.pre,
+                       post_margin_mean=args.post, noise_std=args.noise,
+                       support_size=args.top_k, seed=args.seed)
+    data_path, truth_path = _or_usage(parser, write_dataset, args.output,
+                                      config, args.rollouts)
     print(f"simulate: wrote {args.rollouts} rollouts to {data_path} "
           f"(ground truth: {truth_path})", file=sys.stderr)
     return 0
 
 
 def _cmd_snr(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        report = snr_release_check(args.m_prefix, args.v_prefix,
-                                   args.m_suffix, args.v_suffix)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = _or_usage(parser, snr_release_check, args.m_prefix,
+                       args.v_prefix, args.m_suffix, args.v_suffix)
     print(f"improves={report.release_improves} "
           f"snr_release={report.snr_release!r} snr_full={report.snr_full!r}")
     return 0
@@ -194,8 +166,6 @@ def _build_parser() -> _Parser:
                          help="candidate support size per position")
     release.add_argument("--strategy", default="bic", metavar="NAME",
                          help=f"masking strategy: {_STRATEGY_HELP}")
-    release.add_argument("--prefix-tokens", type=int, default=None,
-                         help="prefix length for the fixed strategy")
     release.add_argument("--seed", type=int, default=0,
                          help="permutation seed for the random strategy")
     _add_batch_flags(release)
@@ -203,10 +173,8 @@ def _build_parser() -> _Parser:
 
     diagnose = subs.add_parser("diagnose", formatter_class=fmt,
                                help="write binned statistics and a release summary")
-    diagnose.add_argument("--in", dest="input", required=True, metavar="PATH",
-                          help="input JSONL file")
-    diagnose.add_argument("--out", dest="output", required=True, metavar="DIR",
-                          help="directory for bins.csv, margin_bins.csv, summary.csv")
+    _add_io_flags(diagnose, out_metavar="DIR", out_help="directory for "
+                  "bins.csv, margin_bins.csv, summary.csv")
     diagnose.add_argument("--top-k", type=int, default=4,
                           help="candidate support size per position")
     diagnose.add_argument("--bins", type=int, default=20,

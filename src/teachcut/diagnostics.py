@@ -24,7 +24,7 @@ from .segmentation import SegmentIndex, SegmentScores
 
 
 class BinAccumulator:
-    """Mergeable per-bin moment partials over temporally normalized positions.
+    """Per-bin moment partials over temporally normalized positions.
 
     Token t of a length-T series lands in bin (num_bins * t) // T.
     """
@@ -47,15 +47,6 @@ class BinAccumulator:
         self.counts += counts
         self.sums += sums
         self.sumsqs += sumsqs
-
-    def merge(self, other: "BinAccumulator") -> "BinAccumulator":
-        if other.num_bins != self.num_bins:
-            raise ValueError("cannot merge accumulators with different num_bins")
-        merged = BinAccumulator(self.num_bins)
-        merged.counts = self.counts + other.counts
-        merged.sums = self.sums + other.sums
-        merged.sumsqs = self.sumsqs + other.sumsqs
-        return merged
 
 
 def _series_bins(values: Any, num_bins: int,
@@ -289,17 +280,18 @@ def write_bins_csv(stats: BinnedStats, path: str) -> None:
                              _cell(float(stats.normalized_std[b]))])
 
 
-def write_summary_csv(summary: ReleaseSummary, path: str) -> None:
-    names = [f.name for f in fields(ReleaseSummary)]
+def _write_row_csv(row: Any, path: str) -> None:
+    # a header of the dataclass's field names, then its values
+    names = [f.name for f in fields(row)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
-        writer.writerow([_cell(getattr(summary, name)) for name in names])
+        writer.writerow([_cell(getattr(row, name)) for name in names])
+
+
+def write_summary_csv(summary: ReleaseSummary, path: str) -> None:
+    _write_row_csv(summary, path)
 
 
 def write_snr_csv(report: SnrReport, path: str) -> None:
-    names = [f.name for f in fields(SnrReport)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        writer.writerow([_cell(getattr(report, name)) for name in names])
+    _write_row_csv(report, path)

@@ -42,9 +42,9 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
                           _summary_row, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
-                      TeachcutError, _float_array, decode_line, dumps_obj,
-                      iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
-                      sampled_advantage)
+                      TeachcutError, _check_output_file, _float_array,
+                      decode_line, dumps_obj, iter_jsonl_lines,
+                      parse_rollout_line, rollout_from_obj, sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
                        _transferred_release, build_prefix_mask,
                        fixed_prefix_mask, rescale_advantages)
@@ -158,10 +158,16 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     else:
         raise ValueError("random_release is a batch-level strategy; "
                          "use process_batch")
-    with np.errstate(over="ignore"):  # _release_payload rejects what overflows
-        rescaled, scale = rescale_advantages(sampled_advantage(record),
-                                             record.loss_mask, prefix_mask)
+    rescaled, scale = _rescale(sampled_advantage(record), record.loss_mask,
+                               prefix_mask)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
+
+
+def _rescale(advantages: np.ndarray, loss_mask: np.ndarray,
+             prefix_mask: np.ndarray) -> tuple[np.ndarray, float]:
+    # an overflow gives inf, for which _release_payload rejects the record
+    with np.errstate(over="ignore"):
+        return rescale_advantages(advantages, loss_mask, prefix_mask)
 
 
 def _release_payload(accepted: bool, release_segment: int, bic_gain: float,
@@ -205,15 +211,23 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
     # means that '}' closes the object holding the key, which is thus the top
     # level, and the key is its last member: the one a decoder keeps. As in
     # _member_value_span, the span leaves out whitespace around the value.
+    # A tail that opens with '{' and holds one '}', at its end, needs no
+    # decode: in a JSON line two structural '}' follow that '{', the value's
+    # and its container's, and the tail's and the final '}' are all there are.
     first = before = raw.rfind(b'"release"')
     while before > 0 and raw[before - 1] in _WHITESPACE:
         before -= 1
     tail = (_LAST_RELEASE.fullmatch(raw, first)
             if before > 0 and raw[before - 1] in b",{" else None)
     if tail:
+        start, end = tail.span(1)
+        if (raw[start] == ord("{") and raw[end - 1] == ord("}")
+                and raw.count(b"{", start, end) == 1
+                and raw.count(b"}", start, end) == 1):
+            return start, end
         with contextlib.suppress(orjson.JSONDecodeError):
-            orjson.loads(memoryview(raw)[tail.start(1):tail.end(1)])
-            return tail.span(1)
+            orjson.loads(memoryview(raw)[start:end])
+            return start, end
     return _member_value_span(raw, "release")
 
 
@@ -346,12 +360,23 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _check_paths(input_path: str, output_path: str) -> None:
+    _check_output_file(output_path)
     # opening the output truncates it, so it must not be the input under
     # another name: a symlink or a hard link
     if (os.path.abspath(input_path) == os.path.abspath(output_path)
             or (os.path.exists(output_path)
                 and os.path.samefile(input_path, output_path))):
         raise ValueError("output path must differ from input path")
+
+
+def _check_out_dir(out_dir: str) -> None:
+    # diagnose makes out_dir and its missing parents only once the CSVs are
+    # ready; a file in the way would fail it only then
+    probe = os.path.abspath(out_dir)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValueError(f"output path is not a directory: {probe}")
 
 
 class _BatchTally:
@@ -546,9 +571,8 @@ def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
                                        num_tokens)
     assignment = _transferred_release(source, decided, segments)
     prefix_mask = build_prefix_mask(segments, assignment, num_tokens)
-    with np.errstate(over="ignore"):  # as in dynamic_prefix_reweight
-        rescaled, scale = rescale_advantages(floats[:num_tokens],
-                                             floats[num_tokens:], prefix_mask)
+    rescaled, scale = _rescale(floats[:num_tokens], floats[num_tokens:],
+                               prefix_mask)
     payload = _release_payload(assignment.accepted, assignment.release_segment,
                                assignment.bic_gain, scale, prefix_mask,
                                rescaled)
@@ -635,6 +659,7 @@ def diagnose_batch(input_path: str, out_dir: str,
     over the valid records in input order. Nothing is written when no record
     survives validation.
     """
+    _check_out_dir(out_dir)
     jobs = _resolve_jobs(config.jobs)
     worker = partial(_run_lines, per_line=partial(_diagnose_line, config=config))
     tally = _BatchTally(config.strict)

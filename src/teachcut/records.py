@@ -15,6 +15,7 @@ Unknown fields are ignored (and preserved verbatim by the batch writer).
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -489,6 +490,15 @@ def rollout_to_obj(record: RolloutRecord) -> dict[str, Any]:
     if record.segments is not None:
         obj["segments"] = [seg.tolist() for seg in record.segments]
     return obj
+
+
+def _check_output_file(path: str) -> None:
+    """Raise ValueError when path's directory is missing or path is one."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory not found: {directory}")
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"output path names a directory: {path!r}")
 
 
 def iter_jsonl_lines(path: str) -> Iterator[tuple[int, bytes]]:

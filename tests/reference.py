@@ -1,0 +1,84 @@
+"""Test-only references, kept out of the package: the profiled BIC formula,
+planted segment-score sequences and the naive change-point oracle that the
+production detector is cross-validated against."""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Sequence
+
+import numpy as np
+
+from teachcut.changepoint import BIC_EPS
+
+
+def profiled_bic(values: Sequence[float], rss: float, num_params: int, *,
+                 eps: float = BIC_EPS) -> float:
+    """n * ln((rss + eps) / n) + num_params * ln(n) for n = len(values)."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("BIC requires at least one value")
+    if rss < 0.0:
+        raise ValueError(f"rss must be non-negative, got {rss}")
+    if num_params < 1:
+        raise ValueError(f"num_params must be positive, got {num_params}")
+    return n * math.log((rss + eps) / n) + num_params * math.log(n)
+
+
+def planted_scores(num_scores: int, true_tau: int | None, pre_mean: float,
+                   post_mean: float, noise_std: float, *,
+                   seed: int = 0) -> np.ndarray:
+    """Segment-score sequence with an optional planted downward step."""
+    if num_scores < 1:
+        raise ValueError(f"num_scores must be at least 1, got {num_scores}")
+    if true_tau is not None and not 1 <= true_tau <= num_scores - 1:
+        raise ValueError(
+            f"true_tau must lie in [1, {num_scores - 1}], got {true_tau}")
+    means = np.full(num_scores, pre_mean)
+    if true_tau is not None:
+        means[true_tau:] = post_mean
+    rng = np.random.default_rng(seed)
+    return means + noise_std * rng.standard_normal(num_scores)
+
+
+def oracle_change_point(scores: Any, *, eps: float = 1e-12) -> tuple[int, bool, float]:
+    """Naive reference for the downward change-point selection.
+
+    Recomputes both side means and residual sums from scratch at every
+    candidate split instead of sharing running moments with the production
+    path. Returns (release_segment, accepted, bic_gain) under the same
+    conventions: release_segment is the retained-segment count, equal to the
+    full count when no drop is accepted.
+    """
+    s = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {s.shape}")
+    n = s.size
+    if n == 0:
+        return 0, False, 0.0
+    if n == 1:
+        return 1, False, 0.0
+
+    mu = s.mean()
+    rss0 = float(((s - mu) ** 2).sum())
+    bic0 = n * math.log((rss0 + eps) / n) + math.log(n)
+
+    taus = np.arange(1, n)
+    in_left = np.arange(n)[None, :] < taus[:, None]
+    count_left = taus.astype(np.float64)
+    count_right = (n - taus).astype(np.float64)
+    mean_left = np.where(in_left, s, 0.0).sum(axis=1) / count_left
+    mean_right = np.where(in_left, 0.0, s).sum(axis=1) / count_right
+    dev_left = np.where(in_left, s - mean_left[:, None], 0.0)
+    dev_right = np.where(in_left, 0.0, s - mean_right[:, None])
+    rss = (dev_left * dev_left).sum(axis=1) + (dev_right * dev_right).sum(axis=1)
+    bic1 = n * np.log((rss + eps) / n) + 3.0 * math.log(n)
+
+    candidates = np.flatnonzero(mean_right < mean_left)
+    if candidates.size == 0:
+        return n, False, 0.0
+    j = int(np.argmin(bic1[candidates]))
+    best = float(bic1[candidates][j])
+    if best >= bic0:
+        return n, False, 0.0
+    return int(candidates[j]) + 1, True, max(0.0, bic0 - best)

@@ -10,13 +10,14 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from teachcut import records
-from teachcut.changepoint import detect_downward_change, profiled_bic
+from teachcut.changepoint import detect_downward_change
 from teachcut.cli import main as cli_main
 from teachcut.diagnostics import (binned_advantage_stats, binned_margin_curve,
                                   release_improves_by_moments,
@@ -25,8 +26,9 @@ from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import PipelineConfig, permute_batch, process_batch
 from teachcut.records import parse_rollout_line, rollout_to_obj
 from teachcut.reweight import rescale_advantages
-from teachcut.synthetic import (SyntheticConfig, generate_rollout,
-                                oracle_change_point, planted_scores)
+from teachcut.synthetic import SyntheticConfig, generate_rollout
+
+from reference import oracle_change_point, planted_scores, profiled_bic
 
 
 def _report(capsys, num, ok, detail):
@@ -167,8 +169,8 @@ def test_criterion_06_planted_release_points(capsys, tmp_path):
                      "--n", "6", "--tau", "3", "--noise", "0"]) == 0
     assert cli_main(["release", "--in", data, "--out", released]) == 0
 
-    truth_lines = open(tmp_path / "ground_truth.jsonl", "rb").read().splitlines()
-    out_lines = open(released, "rb").read().splitlines()
+    truth_lines = (tmp_path / "ground_truth.jsonl").read_bytes().splitlines()
+    out_lines = Path(released).read_bytes().splitlines()
     assert len(out_lines) == len(truth_lines) == 50
     releases_at_three = 0
     max_margin_err = 0.0
@@ -190,7 +192,7 @@ def test_criterion_06_planted_release_points(capsys, tmp_path):
 
 def _relative_positions(path):
     positions = []
-    for raw in open(path, "rb").read().splitlines():
+    for raw in Path(path).read_bytes().splitlines():
         release = json.loads(raw)["release"]
         mask = release["prefix_mask"]
         retained = sum(mask) if release["accepted"] else float(len(mask))
@@ -222,7 +224,7 @@ def test_criterion_07_permutation_preserves_positions(capsys, tmp_path):
     after = sorted(_relative_positions(permuted))
     multiset_exact = before == after
     moved = _relative_positions(released) != _relative_positions(permuted)
-    bit_exact = open(permuted, "rb").read() == open(again, "rb").read()
+    bit_exact = Path(permuted).read_bytes() == Path(again).read_bytes()
     ok = multiset_exact and moved and bit_exact
     _report(capsys, 7, ok,
             f"1000 rollouts, multiset preserved={multiset_exact}, "

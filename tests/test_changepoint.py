@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut.changepoint import (BIC_EPS, detect_downward_change, profiled_bic)
-from teachcut.synthetic import oracle_change_point
+from teachcut.changepoint import BIC_EPS, detect_downward_change
+
+from reference import oracle_change_point, profiled_bic
 
 LN6 = 1.7917594692280551  # ln 6
 # 6 * ln(1e-12 / 6) + 3 * ln 6, worked by hand from ln 10 and ln 6

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,11 @@ from teachcut.cli import main
 
 def run(argv):
     return main(argv)
+
+
+def first_release(path):
+    with open(path, "rb") as handle:
+        return json.loads(handle.readline())["release"]
 
 
 def expect_usage_exit(argv):
@@ -28,9 +34,9 @@ def test_end_to_end_chain(tmp_path, dataset, capsys):
     assert os.path.isfile(str(tmp_path / "ground_truth.jsonl"))
     released = str(tmp_path / "released.jsonl")
     assert run(["release", "--in", dataset, "--out", released]) == 0
-    first = json.loads(open(released, "rb").readline())
-    assert first["release"]["accepted"] is True
-    assert first["release"]["release_segment"] == 3
+    first = first_release(released)
+    assert first["accepted"] is True
+    assert first["release_segment"] == 3
 
     permuted = str(tmp_path / "permuted.jsonl")
     assert run(["permute", "--in", released, "--out", permuted,
@@ -67,23 +73,19 @@ def test_fixed_strategy_forms(tmp_path, dataset):
     out = str(tmp_path / "out.jsonl")
     assert run(["release", "--in", dataset, "--out", out,
                 "--strategy", "fixed:5"]) == 0
-    mask = json.loads(open(out, "rb").readline())["release"]["prefix_mask"]
-    assert sum(mask) == 5.0
+    assert sum(first_release(out)["prefix_mask"]) == 5.0
 
-    assert run(["release", "--in", dataset, "--out", out,
-                "--strategy", "fixed", "--prefix-tokens", "7"]) == 0
-    mask = json.loads(open(out, "rb").readline())["release"]["prefix_mask"]
-    assert sum(mask) == 7.0
-
-    # matching forms may be combined; everything else is a usage error
-    assert run(["release", "--in", dataset, "--out", out,
-                "--strategy", "fixed:5", "--prefix-tokens", "5"]) == 0
+    # fixed:K is the one form; --prefix-tokens is no longer a flag
     expect_usage_exit(["release", "--in", dataset, "--out", out,
                        "--strategy", "fixed"])
+    expect_usage_exit(["release", "--in", dataset, "--out", out,
+                       "--strategy", "fixed", "--prefix-tokens", "7"])
     expect_usage_exit(["release", "--in", dataset, "--out", out,
                        "--strategy", "fixed:abc"])
     expect_usage_exit(["release", "--in", dataset, "--out", out,
                        "--strategy", "fixed:0"])
+    expect_usage_exit(["release", "--in", dataset, "--out", out,
+                       "--strategy", "fixed:5", "--prefix-tokens", "5"])
     expect_usage_exit(["release", "--in", dataset, "--out", out,
                        "--strategy", "fixed:5", "--prefix-tokens", "4"])
     expect_usage_exit(["release", "--in", dataset, "--out", out,
@@ -154,7 +156,7 @@ def test_output_resolving_to_input_is_refused(tmp_path, dataset, capsys,
     if command == "permute":
         src = str(tmp_path / "released.jsonl")
         assert run(["release", "--in", dataset, "--out", src]) == 0
-    before = open(src, "rb").read()
+    before = Path(src).read_bytes()
     out = str(tmp_path / "out.jsonl")
     if link == "same":
         out = src
@@ -167,7 +169,41 @@ def test_output_resolving_to_input_is_refused(tmp_path, dataset, capsys,
     err = capsys.readouterr().err
     assert "error: output path must differ from input path" in err
     assert "Traceback" not in err
-    assert open(src, "rb").read() == before
+    assert Path(src).read_bytes() == before
+
+
+@pytest.mark.parametrize("command, out, message", [
+    ("release", "missing/x.jsonl", "output directory not found"),
+    ("release", "taken", "output path names a directory"),
+    ("release", "new/", "output path names a directory"),
+    ("permute", "missing/x.jsonl", "output directory not found"),
+    ("permute", "taken", "output path names a directory"),
+    ("simulate", "missing/x.jsonl", "output directory not found"),
+    ("simulate", "taken", "output path names a directory"),
+    ("simulate", "x.jsonl", "output path names a directory"),  # the sidecar
+    ("diagnose", "data.jsonl", "not a directory"),  # the input
+    ("diagnose", "data.jsonl/diag/sub", "not a directory"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
+                                            command, out, message):
+    src = dataset
+    if command == "permute":
+        src = str(tmp_path / "released.jsonl")
+        assert run(["release", "--in", dataset, "--out", src]) == 0
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "ground_truth.jsonl").unlink()
+    (tmp_path / "ground_truth.jsonl").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [command, "--out", os.path.join(tmp_path, out)]  # keeps a "/"
+    if command != "simulate":
+        argv += ["--in", src]
+    capsys.readouterr()
+    expect_usage_exit(argv)
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+            if p.is_file()} == before
+    assert not (tmp_path / "missing").exists()
 
 
 def test_diagnose_empty_input_reports(tmp_path, capsys):

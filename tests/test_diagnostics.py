@@ -57,22 +57,6 @@ def test_zero_base_std_warns_and_leaves_nan():
     assert all(math.isnan(v) for v in stats.normalized_std)
 
 
-def test_merge_is_associative():
-    rng = np.random.default_rng(0)
-    accs = []
-    for _ in range(3):
-        acc = BinAccumulator(4)
-        acc.add_series(rng.normal(size=rng.integers(1, 30)))
-        accs.append(acc)
-    left = accs[0].merge(accs[1]).merge(accs[2])
-    right = accs[0].merge(accs[1].merge(accs[2]))
-    np.testing.assert_array_equal(left.counts, right.counts)
-    np.testing.assert_allclose(left.sums, right.sums, rtol=1e-12)
-    np.testing.assert_allclose(left.sumsqs, right.sumsqs, rtol=1e-12)
-    with pytest.raises(ValueError, match="different num_bins"):
-        accs[0].merge(BinAccumulator(5))
-
-
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError, match="empty batch"):
         binned_advantage_stats([], num_bins=2)

@@ -4,6 +4,8 @@ import logging
 import math
 import tempfile
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def test_echo_preserves_unknown_fields_verbatim(tmp_path):
     src = write_lines(tmp_path / "in.jsonl", [in_line])
     out = str(tmp_path / "out.jsonl")
     process_batch(src, out)
-    out_line = open(out, "rb").read().splitlines()[0]
+    out_line = Path(out).read_bytes().splitlines()[0]
     # fast path splices into the raw line, so the input survives byte for byte
     assert out_line.startswith(in_line[:-1] + b',"release":')
     parsed = read_objs(out)[0]
@@ -222,7 +224,7 @@ def test_parallel_output_is_bit_identical(tmp_path, monkeypatch):
     assert pools == []
     process_batch(src, two, PipelineConfig(jobs=2))
     assert pools == [{"max_workers": 2}]
-    assert open(one, "rb").read() == open(two, "rb").read()
+    assert Path(one).read_bytes() == Path(two).read_bytes()
 
 
 def test_one_chunk_runs_in_process_at_any_jobs(tmp_path, monkeypatch):
@@ -238,7 +240,7 @@ def test_one_chunk_runs_in_process_at_any_jobs(tmp_path, monkeypatch):
                       PipelineConfig(jobs=jobs, random_seed=4))
         diagnose_batch(src, str(tmp_path / f"diag{jobs}"),
                        PipelineConfig(jobs=jobs))
-        outputs[jobs] = [open(path, "rb").read() for path in (
+        outputs[jobs] = [Path(path).read_bytes() for path in (
             released, permuted, *(str(tmp_path / f"diag{jobs}" / name) for name
                                   in ("bins.csv", "margin_bins.csv",
                                       "summary.csv")))]
@@ -324,11 +326,11 @@ def test_random_release_transfers_decisions(tmp_path):
     again = str(tmp_path / "again.jsonl")
     process_batch(src, again, PipelineConfig(strategy="random_release",
                                              random_seed=3))
-    assert open(again, "rb").read() == open(rand_out, "rb").read()
+    assert Path(again).read_bytes() == Path(rand_out).read_bytes()
     other = str(tmp_path / "other.jsonl")
     process_batch(src, other, PipelineConfig(strategy="random_release",
                                              random_seed=4))
-    assert open(other, "rb").read() != open(rand_out, "rb").read()
+    assert Path(other).read_bytes() != Path(rand_out).read_bytes()
 
 
 def test_permute_batch_preserves_positions(tmp_path):
@@ -352,7 +354,7 @@ def test_permute_echoes_unknown_values_exactly(tmp_path, monkeypatch):
     objs = [planted_obj(i, noise=0.5, seed=2) for i in range(6)]
     released = str(tmp_path / "released.jsonl")
     process_batch(write_objs(tmp_path / "in.jsonl", objs), released)
-    lines = open(released, "rb").read().splitlines()
+    lines = Path(released).read_bytes().splitlines()
     extra = (b'"big": %d, "odd": NaN, "name": "\\ud800 \\"release\\": 1"'
              % 2**70)
     marked = [b"{" + extra + b", " + line[1:] for line in lines[:3]]
@@ -377,8 +379,8 @@ def test_permute_echoes_unknown_values_exactly(tmp_path, monkeypatch):
 
     key = b',"release":'
     for line, before, new, after in zip(
-            lines, marked, open(plain, "rb").read().splitlines(),
-            open(out, "rb").read().splitlines()):
+            lines, marked, Path(plain).read_bytes().splitlines(),
+            Path(out).read_bytes().splitlines()):
         head = line.rindex(key) + len(key)
         assert new.startswith(line[:head]) and new.endswith(b"}")
         old_value, new_value = line[head:-1], new[head:-1]
@@ -438,10 +440,30 @@ def test_member_value_span_finds_the_top_level_key(members, position, value,
     b'{"a":NaN,"release":{"x":2}}\n',
     b'{"release":{"x":NaN}}\n',
     b' {"release":"\\ud800"}\n',
+    b'{"a":1,"release":{"note":"}"}}\n',          # objects release does
+    b'{"a":1,"release":{"x":{"y":2}}}\n',        # not write: decoded
+    b'{"a":1,"release": {"x":1}, "k":{"y":2}}\n',  # or scanned
 ])
 def test_release_span_from_the_tail_equals_the_scan(raw):
     assert _release_span(json.loads(raw), raw) == _member_value_span(
         raw, "release")
+
+
+def test_release_span_of_release_output_needs_no_decode(tmp_path,
+                                                        monkeypatch):
+    # release appends an object holding no other brace; the span of that
+    # layout is exact without decoding the value a second time
+    released = str(tmp_path / "released.jsonl")
+    process_batch(write_objs(tmp_path / "in.jsonl", [planted_obj()]), released)
+    raw = Path(released).read_bytes()
+    obj = json.loads(raw)
+    decoded = []
+    monkeypatch.setattr(pipeline, "orjson", SimpleNamespace(
+        loads=decoded.append, JSONDecodeError=ValueError))
+    start, end = _release_span(obj, raw)
+    assert decoded == []
+    assert raw[start - 1:start] == b":" and raw[end:] == b"}\n"
+    assert json.loads(raw[start:end]) == obj["release"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -476,7 +498,7 @@ def test_batches_restore_gc_state(tmp_path, enabled):
 def test_permute_requires_release_objects(tmp_path):
     released = str(tmp_path / "released.jsonl")
     process_batch(write_objs(tmp_path / "one.jsonl", [planted_obj()]), released)
-    line = open(released, "rb").read().strip()
+    line = Path(released).read_bytes().strip()
     gain = line.index(b'"bic_gain":') + len(b'"bic_gain":')
     # JSON has no NaN; a gain that is not finite cannot be written back
     nan_gain = line[:gain] + b"NaN" + line[line.index(b",", gain):]
@@ -537,7 +559,7 @@ def _expected_transfer(src, decisions, seed):
     build_prefix_mask and rescale_advantages give each valid record of src,
     whose decisions are decisions(obj, record)."""
     kept = []
-    for number, raw in enumerate(open(src, "rb").read().split(b"\n"), 1):
+    for number, raw in enumerate(Path(src).read_bytes().split(b"\n"), 1):
         try:
             obj = json.loads(raw)
             record = rollout_from_obj(obj)
@@ -587,7 +609,7 @@ def test_transfers_match_per_record_functions(tmp_path):
             out = str(tmp_path / f"{name}-{jobs}.jsonl")
             report = run(out, PipelineConfig(jobs=jobs, random_seed=4))
             assert report.num_records == len(expected) == 60
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1]
         assert read_objs(out) == list(expected.values())
         # a stale release value is replaced, not followed by a second one
@@ -807,7 +829,7 @@ def test_topk_required_only_for_bic(tmp_path):
 
 def test_output_path_must_differ(tmp_path):
     src = write_objs(tmp_path / "in.jsonl", [planted_obj()])
-    before = open(src, "rb").read()
+    before = Path(src).read_bytes()
     (tmp_path / "symlink.jsonl").symlink_to(src)
     (tmp_path / "hardlink.jsonl").hardlink_to(src)
     for out in (src, str(tmp_path / "symlink.jsonl"),
@@ -816,7 +838,7 @@ def test_output_path_must_differ(tmp_path):
             process_batch(src, out)
         with pytest.raises(ValueError, match="must differ"):
             permute_batch(src, out)
-    assert open(src, "rb").read() == before
+    assert Path(src).read_bytes() == before
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from teachcut.records import (dumps_obj, parse_rollout_line, rollout_to_obj,
 from teachcut.segmentation import segment_tokens
 from teachcut.synthetic import (GroundTruth, SyntheticConfig,
                                 generate_piecewise_rollout, generate_rollout,
-                                oracle_change_point, planted_scores,
                                 segment_mean_profile, write_dataset)
+
+from reference import oracle_change_point, planted_scores
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -113,8 +115,8 @@ def test_write_dataset_and_sidecar_align(tmp_path):
     data_path, truth_path = write_dataset(str(tmp_path / "data.jsonl"),
                                           config, num_rollouts=4)
     assert truth_path == str(tmp_path / "ground_truth.jsonl")
-    data_lines = open(data_path, "rb").read().splitlines()
-    truth_lines = open(truth_path, "rb").read().splitlines()
+    data_lines = Path(data_path).read_bytes().splitlines()
+    truth_lines = Path(truth_path).read_bytes().splitlines()
     assert len(data_lines) == len(truth_lines) == 4
     for i, (data_line, truth_line) in enumerate(zip(data_lines, truth_lines)):
         record = parse_rollout_line(data_line, line_number=i + 1)
@@ -128,7 +130,7 @@ def test_write_dataset_and_sidecar_align(tmp_path):
 def test_write_dataset_null_tau(tmp_path):
     config = SyntheticConfig(num_segments=2, tokens_per_segment=1)
     _, truth_path = write_dataset(str(tmp_path / "flat.jsonl"), config, 1)
-    truth = json.loads(open(truth_path, "rb").read())
+    truth = json.loads(Path(truth_path).read_bytes())
     assert truth["true_tau"] is None
     with pytest.raises(ValueError, match="num_rollouts"):
         write_dataset(str(tmp_path / "x.jsonl"), config, 0)
