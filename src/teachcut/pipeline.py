@@ -34,7 +34,6 @@ from itertools import chain, islice
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
-import orjson
 
 from .changepoint import ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
@@ -200,20 +199,19 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
 
     A value written last, as release writes it, is found from the tail: the
     last '"release"' is the key when ',' or '{' precedes it and ':' follows,
-    up to whitespace, and the trimmed bytes from the ':' to the final '}' are
-    exactly one JSON value. Other layouts cost a scan of the whole line.
+    up to whitespace, and the trimmed bytes from the ':' to the final '}' open
+    with '{', end with '}' and hold no other brace. Other layouts cost a scan
+    of the whole line.
     """
     if "release" not in obj:
         return None
     # Exact: a '"' after ',', '{' or whitespace is unescaped and cannot close
     # a string (a bare release is not JSON, even with NaN), so it opens the
-    # key "release". One whole value, then only whitespace and the final '}',
-    # means that '}' closes the object holding the key, which is thus the top
+    # key "release". In a JSON line two structural '}' follow the tail's '{',
+    # the value's and its container's; the tail's '}' and the final '}' are
+    # all there are, so the tail is the value, its container is the top
     # level, and the key is its last member: the one a decoder keeps. As in
     # _member_value_span, the span leaves out whitespace around the value.
-    # A tail that opens with '{' and holds one '}', at its end, needs no
-    # decode: in a JSON line two structural '}' follow that '{', the value's
-    # and its container's, and the tail's and the final '}' are all there are.
     first = before = raw.rfind(b'"release"')
     while before > 0 and raw[before - 1] in _WHITESPACE:
         before -= 1
@@ -224,9 +222,6 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
         if (raw[start] == ord("{") and raw[end - 1] == ord("}")
                 and raw.count(b"{", start, end) == 1
                 and raw.count(b"}", start, end) == 1):
-            return start, end
-        with contextlib.suppress(orjson.JSONDecodeError):
-            orjson.loads(memoryview(raw)[start:end])
             return start, end
     return _member_value_span(raw, "release")
 
