@@ -8,11 +8,18 @@ in a ``release`` object rather than re-encoding the record, which both
 preserves unknown fields and keeps the hot path cheap.
 
 Random release and permute read and parse the input once. Pass 1 checks
-each line on the pool and returns the record's decision as four scalars and
-a blob of what the rewrite needs; the main process spills each valid line
-with its blob to an anonymous temporary file (the input's size plus about 24
-bytes per token) and keeps only the scalars. Pass 2 draws the permutation
-and rewrites the spill in order in the main process, without the pool.
+each line on the pool and returns the record's decision as four scalars,
+plus the arrays the rewrite needs and their sizes. The main process keeps
+only the scalars and spills each valid line to an anonymous temporary file
+(the input's size plus about 24 bytes per token) as one record: a head of
+seven int64s (line number, line bytes, tokens, segments, segment token ids,
+release span), the line, the sampled advantage and loss mask, and the
+segments' bounds and token ids. Pass 2 draws the permutation and rewrites
+the spill in order in the main process, without the pool.
+
+A per-line function takes the raw line and returns a value or raises a
+TeachcutError, which _run_lines turns into that line's error text; only the
+main process, which reads the input, knows line numbers.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import logging
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 from collections import deque
@@ -41,7 +49,7 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
                           _summary_row, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
-                      TeachcutError, _check_output_file, _float_array,
+                      TeachcutError, _at_line, _check_output_file, _float_array,
                       decode_line, dumps_obj, iter_jsonl_lines,
                       parse_rollout_line, rollout_from_obj, sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
@@ -313,33 +321,32 @@ def _iter_chunks(path: str) -> Iterator[list[tuple[int, bytes]]]:
         yield chunk
 
 
-def _map_chunks(items: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
-                keep: Callable[[Any], Any] = lambda item: None,
+def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
                 ) -> Iterator[tuple[Any, Any]]:
-    """(keep(item), worker(item)) for each item, in order.
+    """(chunk, worker(chunk)) for each chunk, in order.
 
-    Pooled when jobs > 1 and there is a second item; a single item runs in
-    this process, which saves starting and stopping the pool. At most
-    jobs * 4 items are out at workers, and only what ``keep`` returns for
-    them stays in the main process.
+    Pooled when jobs > 1 and there is a second chunk; a single chunk runs in
+    this process, which saves starting and stopping the pool. The pool
+    starts one worker per chunk up to jobs, and at most jobs * 4 chunks are
+    out at workers.
     """
-    items = iter(items)
-    head = list(islice(items, 2)) if jobs > 1 else []
+    chunks = iter(chunks)
+    head = list(islice(chunks, jobs)) if jobs > 1 else []
     if len(head) < 2:
-        for item in chain(head, items):
-            yield keep(item), worker(item)
+        for chunk in chain(head, chunks):
+            yield chunk, worker(chunk)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
         pending: deque = deque()
         try:
-            for item in chain(head, items):
-                pending.append((keep(item), pool.submit(worker, item)))
+            for chunk in chain(head, chunks):
+                pending.append((chunk, pool.submit(worker, chunk)))
                 if len(pending) >= jobs * 4:
-                    kept, future = pending.popleft()
-                    yield kept, future.result()
+                    chunk, future = pending.popleft()
+                    yield chunk, future.result()
             while pending:
-                kept, future = pending.popleft()
-                yield kept, future.result()
+                chunk, future = pending.popleft()
+                yield chunk, future.result()
         finally:
             for _, future in pending:
                 future.cancel()
@@ -385,10 +392,22 @@ class _BatchTally:
 
     def record_error(self, line_number: int, message: str) -> None:
         if self.strict:
-            body = message.removeprefix(f"line {line_number}: ")
-            raise DataProcessingError(line_number, body)
+            raise DataProcessingError(line_number, message)
+        message = _at_line(line_number, message)
         logger.warning("%s", message)
         self.errors.append((line_number, message))
+
+    def passed(self, results: Iterable[tuple[list[tuple[int, bytes]],
+                                              list[tuple[str, Any]]]],
+               ) -> Iterator[tuple[tuple[int, bytes], Any]]:
+        """((line_number, raw), value) for each line that passed, in order,
+        from (chunk, _run_lines results) pairs; each other line is an error."""
+        for chunk, out in results:
+            for line, (error, value) in zip(chunk, out):
+                if error:
+                    self.record_error(line[0], error)
+                else:
+                    yield line, value
 
     def report(self) -> BatchReport:
         rate = self.num_accepted / self.num_records if self.num_records else 0.0
@@ -399,51 +418,47 @@ class _BatchTally:
 def _write_release(output_path: str,
                    results: Iterable[tuple[list[tuple[int, bytes]], list[tuple]]],
                    tally: _BatchTally) -> None:
-    """Write release lines from (chunk, worker results) pairs in order.
+    """Write release lines from (chunk, _run_lines results) pairs in order.
 
-    Strict mode aborts on the first bad line and removes the partial output.
+    Strict mode aborts on the first bad line and removes the partial output
+    when it is a regular file; a device or pipe is left as it is.
     """
     handle = open(output_path, "wb")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     complete = False
     try:
-        for chunk, out in results:
-            for (_, raw), item in zip(chunk, out):
-                if item[0] == "ok":
-                    handle.write(_splice_release(raw, item[2]))
-                    tally.num_records += 1
-                    tally.num_accepted += bool(item[3])
-                else:
-                    tally.record_error(item[1], item[2])
+        for (_, raw), (encoded, accepted) in tally.passed(results):
+            handle.write(_splice_release(raw, encoded))
+            tally.num_records += 1
+            tally.num_accepted += bool(accepted)
         complete = True
     finally:
         handle.close()
-        if not complete:
+        if not complete and regular:
             with contextlib.suppress(OSError):
                 os.unlink(output_path)
 
 
-def _run_lines(chunk: Iterable[tuple[int, bytes]],
-               per_line: Callable[[int, bytes], tuple]) -> list[tuple]:
-    """("ok", line_number, *per_line(line_number, raw)) for each line of a
-    chunk, or ("err", line_number, message) for a line that raised a
-    TeachcutError.
+def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
+               *args: Any) -> list[tuple[str, Any]]:
+    """("", per_line(raw, *args)) for each line of a chunk, or (the error's
+    text, None) for a line that raised a TeachcutError. The text names no
+    line; _BatchTally.record_error adds that.
 
     The chunk runs with the collector paused: refcounting frees each line's
     decoded tree, which is acyclic, before the next is built, so a collection
     would find nothing, yet the trees' thousands of lists would trigger one
     per line.
     """
-    out: list[tuple] = []
+    out: list[tuple[str, Any]] = []
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for line_number, raw in chunk:
+        for _, raw in chunk:
             try:
-                out.append(("ok", line_number, *per_line(line_number, raw)))
+                out.append(("", per_line(raw, *args)))
             except TeachcutError as exc:
-                prefix = f"line {line_number}: "
-                message = prefix + str(exc).removeprefix(prefix)
-                out.append(("err", line_number, message))
+                out.append((str(exc), None))
     finally:
         if enabled:  # the caller's state, also when a line aborts the chunk
             gc.enable()
@@ -454,10 +469,10 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]],
 # release
 
 
-def _release_line(line_number: int, raw: bytes, config: PipelineConfig,
+def _release_line(raw: bytes, config: PipelineConfig,
                   ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
-    obj = decode_line(raw, line_number=line_number)
-    record = rollout_from_obj(obj, probs=config.probs, line_number=line_number)
+    obj = decode_line(raw)
+    record = rollout_from_obj(obj, probs=config.probs)
     result = dynamic_prefix_reweight(record, config)
     decision = result.decision
     if decision is not None:
@@ -488,8 +503,7 @@ def process_batch(input_path: str, output_path: str,
     worker = partial(_run_lines, per_line=partial(_release_line, config=config))
     tally = _BatchTally(config.strict)
     _write_release(output_path,
-                   _map_chunks(_iter_chunks(input_path), worker, jobs,
-                               keep=lambda chunk: chunk), tally)
+                   _map_chunks(_iter_chunks(input_path), worker, jobs), tally)
     return tally.report()
 
 
@@ -497,29 +511,29 @@ def process_batch(input_path: str, output_path: str,
 # batch-level controls: random release and permutation of existing outputs
 
 
-_BLOB_HEAD = struct.Struct("4q")   # tokens, segments, release span or -1, -1
-_SPILL_HEAD = struct.Struct("3q")  # line number, line bytes, blob bytes
+# line number, line bytes, tokens, segments, segment token ids, and the
+# release span or -1, -1
+_SPILL_HEAD = struct.Struct("7q")
 
 
-def _spill_line(line_number: int, raw: bytes, config: PipelineConfig,
-                decide: Callable) -> tuple:
+def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
     """Pass 1 for one line: the decision as (total tokens, accepted, retained
-    tokens, BIC gain), and what pass 2 needs besides the line, as one blob:
-    a head of sizes and _release_span, the sampled advantage and loss mask,
-    and the segments' bounds and token ids."""
-    obj = decode_line(raw, line_number=line_number)
-    record = rollout_from_obj(obj, probs=config.probs, line_number=line_number)
-    segments, accepted, retained, gain = decide(obj, record, config,
-                                                line_number)
+    tokens, BIC gain), the spill head's sizes and _release_span, and the
+    arrays pass 2 needs: the sampled advantage and loss mask, and the
+    segments' bounds and token ids."""
+    obj = decode_line(raw)
+    record = rollout_from_obj(obj, probs=config.probs)
+    segments, accepted, retained, gain = decide(obj, record, config)
     span = _release_span(obj, raw) or (-1, -1)
-    blob = b"".join((_BLOB_HEAD.pack(record.num_tokens, len(segments), *span),
-                     sampled_advantage(record), record.loss_mask,
-                     segments.bounds, segments.token_ids))
-    return (record.num_tokens, accepted, retained, gain), blob
+    arrays = b"".join((sampled_advantage(record), record.loss_mask,
+                       segments.bounds, segments.token_ids))
+    return ((record.num_tokens, accepted, retained, gain),
+            (record.num_tokens, len(segments), len(segments.token_ids), *span),
+            arrays)
 
 
 def _own_decision(obj: dict[str, Any], record: RolloutRecord,
-                  config: PipelineConfig, line_number: int) -> tuple:
+                  config: PipelineConfig) -> tuple:
     # random release: the record's own BIC decision
     _, segments, _, decision = _analyze(record, config)
     return (segments, decision.accepted, _retained_tokens(segments, decision),
@@ -527,11 +541,11 @@ def _own_decision(obj: dict[str, Any], record: RolloutRecord,
 
 
 def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
-                       config: PipelineConfig, line_number: int) -> tuple:
+                       config: PipelineConfig) -> tuple:
     # permute: the decision a prior release output wrote
     def invalid(message: str, key: str = "", position: int | None = None):
         return RecordValidationError(message, field="release" + key,
-                                     position=position, line_number=line_number)
+                                     position=position)
 
     release = obj.get("release")
     if not isinstance(release, dict):
@@ -546,7 +560,7 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     mask = release.get("prefix_mask")
     if not isinstance(mask, list) or len(mask) != record.num_tokens:
         raise invalid("expected a list with one entry per token", ".prefix_mask")
-    mask = _float_array(mask, "release.prefix_mask", line_number)
+    mask = _float_array(mask, "release.prefix_mask")
     bad = (mask != 0.0) & (mask != 1.0)
     if bad.any():
         raise invalid("expected 0 or 1", ".prefix_mask", int(np.argmax(bad)))
@@ -555,15 +569,13 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     return segments, accepted, retained, float(gain)
 
 
-def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
+def _transfer_line(raw: bytes, floats: np.ndarray, segments: SegmentIndex,
+                   span: tuple[int, int] | None, source: int,
                    decided: tuple[int, bool, int, float],
                    ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
-    # pass 2: impose a source's decision on a spilled record
-    num_tokens, num_segments, start, end = _BLOB_HEAD.unpack_from(blob)
-    floats = np.frombuffer(blob, np.float64, 2 * num_tokens, _BLOB_HEAD.size)
-    ints = np.frombuffer(blob, np.int64, -1, _BLOB_HEAD.size + floats.nbytes)
-    segments = SegmentIndex._unchecked(ints[num_segments:], ints[:num_segments],
-                                       num_tokens)
+    # pass 2: impose a source's decision on a spilled record; raw itself
+    # is only echoed, by _write_release
+    num_tokens = segments.num_tokens
     assignment = _transferred_release(source, decided, segments)
     prefix_mask = build_prefix_mask(segments, assignment, num_tokens)
     rescaled, scale = _rescale(floats[:num_tokens], floats[num_tokens:],
@@ -571,7 +583,6 @@ def _transfer_line(line_number: int, raw: bytes, blob: bytes, source: int,
     payload = _release_payload(assignment.accepted, assignment.release_segment,
                                assignment.bic_gain, scale, prefix_mask,
                                rescaled)
-    span = (start, end) if start >= 0 else None
     return (span, dumps_obj(payload)), assignment.accepted
 
 
@@ -581,12 +592,16 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
     with the decision of the source the seeded permutation gives it."""
     read = spill.read
     for source in _release_sources(len(decided), config.random_seed):
-        line_number, raw_size, blob_size = _SPILL_HEAD.unpack(
-            read(_SPILL_HEAD.size))
-        line = [(line_number, read(raw_size))]
-        yield line, _run_lines(line, partial(
-            _transfer_line, blob=read(blob_size), source=source,
-            decided=decided[source]))
+        (line_number, size, num_tokens, num_segments, num_ids, start,
+         end) = _SPILL_HEAD.unpack(read(_SPILL_HEAD.size))
+        line = [(line_number, read(size))]
+        floats = np.frombuffer(read(16 * num_tokens), np.float64)
+        ints = np.frombuffer(read(8 * (num_segments + num_ids)), np.int64)
+        segments = SegmentIndex._unchecked(ints[num_segments:],
+                                           ints[:num_segments], num_tokens)
+        span = (start, end) if start >= 0 else None
+        yield line, _run_lines(line, _transfer_line, floats, segments, span,
+                               source, decided[source])
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
@@ -597,17 +612,12 @@ def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
     worker = partial(_run_lines, per_line=partial(_spill_line, config=config,
                                                   decide=decide))
     with tempfile.TemporaryFile() as spill:
-        for chunk, results in _map_chunks(_iter_chunks(input_path), worker,
-                                          jobs, keep=lambda chunk: chunk):
-            for (_, raw), item in zip(chunk, results):
-                if item[0] == "err":
-                    tally.record_error(item[1], item[2])
-                    continue
-                _, line_number, scalars, blob = item
-                spill.write(_SPILL_HEAD.pack(line_number, len(raw), len(blob)))
-                spill.write(raw)
-                spill.write(blob)
-                decided.append(scalars)
+        for (line_number, raw), (scalars, head, arrays) in tally.passed(
+                _map_chunks(_iter_chunks(input_path), worker, jobs)):
+            spill.write(_SPILL_HEAD.pack(line_number, len(raw), *head))
+            spill.write(raw)
+            spill.write(arrays)
+            decided.append(scalars)
         spill.seek(0)
         _write_release(output_path, _rewrite(spill, decided, config), tally)
     return tally.report()
@@ -633,11 +643,11 @@ def permute_batch(input_path: str, output_path: str,
 # diagnostics over a batch
 
 
-def _diagnose_line(line_number: int, raw: bytes, config: PipelineConfig,
+def _diagnose_line(raw: bytes, config: PipelineConfig,
                    ) -> tuple[tuple, tuple, tuple]:
     # the record's own bin partials, which the main process adds in line
     # order, so the bins do not depend on how the input was chunked
-    record = parse_rollout_line(raw, probs=config.probs, line_number=line_number)
+    record = parse_rollout_line(raw, probs=config.probs)
     margins, segments, _, decision = _analyze(record, config)
     return (_series_bins(sampled_advantage(record), config.num_bins),
             _series_bins(margins.values, config.num_bins),
@@ -662,14 +672,11 @@ def diagnose_batch(input_path: str, out_dir: str,
     margin_total = BinAccumulator(config.num_bins)
     rows: list[tuple] = []
 
-    for _, results in _map_chunks(_iter_chunks(input_path), worker, jobs):
-        for item in results:
-            if item[0] == "err":
-                tally.record_error(item[1], item[2])
-                continue
-            adv_total.add_bins(item[2])
-            margin_total.add_bins(item[3])
-            rows.append(item[4])
+    for _, (adv, margin, row) in tally.passed(
+            _map_chunks(_iter_chunks(input_path), worker, jobs)):
+        adv_total.add_bins(adv)
+        margin_total.add_bins(margin)
+        rows.append(row)
 
     tally.num_records = len(rows)
     tally.num_accepted = sum(1 for row in rows if row[0])

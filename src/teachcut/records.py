@@ -31,29 +31,41 @@ class TeachcutError(Exception):
     """Base class for errors raised by this package."""
 
 
-class RecordParseError(TeachcutError):
+def _at_line(line_number: int, message: str) -> str:
+    return f"line {line_number}: {message}"
+
+
+class _RecordError(TeachcutError):
+    """A line that does not give a record; str() names the line when
+    ``line_number`` is set."""
+
+    line_number: int | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        if self.line_number is None:
+            return message
+        return _at_line(self.line_number, message)
+
+
+class RecordParseError(_RecordError):
     """A line is not well-formed JSON."""
 
-    def __init__(self, message: str, *, line_number: int | None = None,
-                 byte_offset: int | None = None) -> None:
-        self.line_number = line_number
+    def __init__(self, message: str, *, byte_offset: int | None = None) -> None:
         self.byte_offset = byte_offset
-        prefix = f"line {line_number}: " if line_number is not None else ""
         suffix = f" (byte offset {byte_offset})" if byte_offset is not None else ""
-        super().__init__(f"{prefix}invalid JSON: {message}{suffix}")
+        super().__init__(f"invalid JSON: {message}{suffix}")
 
 
-class RecordValidationError(TeachcutError):
+class RecordValidationError(_RecordError):
     """A decoded record violates a schema invariant."""
 
-    def __init__(self, message: str, *, field: str, position: int | None = None,
-                 line_number: int | None = None) -> None:
+    def __init__(self, message: str, *, field: str,
+                 position: int | None = None) -> None:
         self.field = field
         self.position = position
-        self.line_number = line_number
-        prefix = f"line {line_number}: " if line_number is not None else ""
         where = f" at position {position}" if position is not None else ""
-        super().__init__(f"{prefix}{field}{where}: {message}")
+        super().__init__(f"{field}{where}: {message}")
 
 
 class DataProcessingError(TeachcutError):
@@ -61,7 +73,8 @@ class DataProcessingError(TeachcutError):
 
     def __init__(self, line_number: int, message: str) -> None:
         self.line_number = line_number
-        super().__init__(f"strict mode: aborting at line {line_number}: {message}")
+        super().__init__(
+            f"strict mode: aborting at {_at_line(line_number, message)}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,7 @@ class SegmentIndex:
         RecordValidationError naming the first failing segment."""
         rows = [seg.tolist() if isinstance(seg, np.ndarray) else seg
                 for seg in segments]
-        self.token_ids, self.bounds = _segments_from_obj(rows, num_tokens, None)
+        self.token_ids, self.bounds = _segments_from_obj(rows, num_tokens)
         self.num_tokens = num_tokens
 
     @classmethod
@@ -171,26 +184,23 @@ def sampled_advantage(record: RolloutRecord) -> np.ndarray:
 # decoding
 
 
-def _decode_stdlib(line: bytes | str, line_number: int | None) -> Any:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        offset = len(exc.doc[:exc.pos].encode("utf-8"))
-        raise RecordParseError(exc.msg, line_number=line_number,
-                               byte_offset=offset) from None
-    except UnicodeDecodeError as exc:
-        raise RecordParseError(exc.reason, line_number=line_number,
-                               byte_offset=exc.start) from None
-
-
 def decode_line(line: bytes | str, *, line_number: int | None = None) -> Any:
     """Decode one JSONL line to a Python object."""
     try:
         return orjson.loads(line)
     except orjson.JSONDecodeError:
-        # stdlib accepts a superset (NaN literals); prefer its byte-offset
-        # errors, and let validation reject non-finite values by field.
-        return _decode_stdlib(line, line_number)
+        pass
+    # stdlib accepts a superset (NaN literals); prefer its byte-offset
+    # errors, and let validation reject non-finite values by field.
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[:exc.pos].encode("utf-8"))
+        error = RecordParseError(exc.msg, byte_offset=offset)
+    except UnicodeDecodeError as exc:
+        error = RecordParseError(exc.reason, byte_offset=exc.start)
+    error.line_number = line_number
+    raise error
 
 
 def dumps_obj(obj: Any) -> bytes:
@@ -225,25 +235,23 @@ def _pack(values: list, typecode: str) -> np.ndarray:
 _BAD_NUMBER = (struct.error, TypeError, OverflowError)
 
 
-def _float_array(values: list, field: str, line_number: int | None) -> np.ndarray:
+def _float_array(values: list, field: str) -> np.ndarray:
     try:
         return _pack(values, "d")
     except _BAD_NUMBER:
-        raise RecordValidationError("expected an array of numbers", field=field,
-                                    line_number=line_number) from None
+        raise RecordValidationError("expected an array of numbers",
+                                    field=field) from None
 
 
-def _check_logp(arr: np.ndarray, field: str, line_number: int | None) -> None:
+def _check_logp(arr: np.ndarray, field: str) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
         raise RecordValidationError("log-probability not finite", field=field,
-                                    position=_first_true(~finite),
-                                    line_number=line_number)
+                                    position=_first_true(~finite))
     positive = arr > 0.0
     if positive.any():
         raise RecordValidationError("log-probability > 0", field=field,
-                                    position=_first_true(positive),
-                                    line_number=line_number)
+                                    position=_first_true(positive))
 
 
 def _rows_array(rows: Any, typecode: str) -> tuple[np.ndarray, list[int]]:
@@ -268,63 +276,57 @@ def _rows_array(rows: Any, typecode: str) -> tuple[np.ndarray, list[int]]:
     return _pack(flat, typecode), lens
 
 
-def _topk_rows(topk: dict, key: str, typecode: str,
-               line_number: int | None) -> tuple[np.ndarray, list[int]]:
+def _topk_rows(topk: dict, key: str, typecode: str) -> tuple[np.ndarray, list[int]]:
     try:
         return _rows_array(topk[key], typecode)
     except _BAD_NUMBER:
         kind = "64-bit integers" if typecode == "q" else "numbers"
         raise RecordValidationError(
             f"expected a list of per-position lists of {kind}",
-            field=f"topk.{key}", line_number=line_number) from None
+            field=f"topk.{key}") from None
 
 
-def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool,
-                         line_number: int | None) -> TopKCandidates:
+def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool) -> TopKCandidates:
     if not isinstance(topk, dict):
-        raise RecordValidationError("expected an object", field="topk",
-                                    line_number=line_number)
+        raise RecordValidationError("expected an object", field="topk")
     for key in ("ids", "student_logp", "teacher_logp"):
         if key not in topk:
-            raise RecordValidationError("missing field", field=f"topk.{key}",
-                                        line_number=line_number)
+            raise RecordValidationError("missing field", field=f"topk.{key}")
 
-    ids, id_lens = _topk_rows(topk, "ids", "q", line_number)
-    student, st_lens = _topk_rows(topk, "student_logp", "d", line_number)
-    teacher, te_lens = _topk_rows(topk, "teacher_logp", "d", line_number)
+    ids, id_lens = _topk_rows(topk, "ids", "q")
+    student, st_lens = _topk_rows(topk, "student_logp", "d")
+    teacher, te_lens = _topk_rows(topk, "teacher_logp", "d")
 
     if len(id_lens) != num_tokens:
         raise RecordValidationError(
             f"length mismatch: {len(id_lens)} positions, expected {num_tokens}",
-            field="topk.ids", line_number=line_number)
+            field="topk.ids")
     if st_lens != id_lens:
         raise RecordValidationError("length mismatch against topk.ids",
-                                    field="topk.student_logp", line_number=line_number)
+                                    field="topk.student_logp")
     if te_lens != id_lens:
         raise RecordValidationError("length mismatch against topk.ids",
-                                    field="topk.teacher_logp", line_number=line_number)
+                                    field="topk.teacher_logp")
     lengths = _pack(id_lens, "q")
     shortest = int(lengths.argmin())
     if lengths[shortest] < 2:
         raise RecordValidationError("fewer than 2 candidates",
-                                    field="topk.ids", position=shortest,
-                                    line_number=line_number)
+                                    field="topk.ids", position=shortest)
 
     # checked flat, before padding: a padded -inf is neither converted nor
     # taken for a bad log-prob
     if probs:
         student = np.log(np.maximum(student, PROB_FLOOR))
         teacher = np.log(np.maximum(teacher, PROB_FLOOR))
-    _check_logp(student, "topk.student_logp", line_number)
-    _check_logp(teacher, "topk.teacher_logp", line_number)
+    _check_logp(student, "topk.student_logp")
+    _check_logp(teacher, "topk.teacher_logp")
 
     candidates = TopKCandidates.from_flat(ids, student, teacher, lengths)
-    _check_student_order(candidates, line_number)
+    _check_student_order(candidates)
     return candidates
 
 
-def _check_student_order(candidates: TopKCandidates,
-                         line_number: int | None) -> None:
+def _check_student_order(candidates: TopKCandidates) -> None:
     # top-K ordering: student_logp non-increasing, exact ties by ascending id.
     # A pair with a padding entry diffs to -inf or NaN, neither a rise nor a tie.
     with np.errstate(invalid="ignore"):
@@ -333,8 +335,7 @@ def _check_student_order(candidates: TopKCandidates,
     if rise.any():
         raise RecordValidationError("not sorted by descending student log-prob",
                                     field="topk.student_logp",
-                                    position=_first_true(rise.any(axis=1)),
-                                    line_number=line_number)
+                                    position=_first_true(rise.any(axis=1)))
     tie = diff == 0.0
     if tie.any():
         ids = candidates.ids
@@ -342,19 +343,17 @@ def _check_student_order(candidates: TopKCandidates,
         if bad.any():
             raise RecordValidationError(
                 "tied student log-probs must order by ascending candidate id",
-                field="topk.ids", position=_first_true(bad.any(axis=1)),
-                line_number=line_number)
+                field="topk.ids", position=_first_true(bad.any(axis=1)))
 
 
-def _segments_from_obj(raw: Any, num_tokens: int,
-                       line_number: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _segments_from_obj(raw: Any, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:
     # SegmentIndex's (token_ids, bounds). One check on the concatenated
     # indices: strictly increasing and inside [0, num_tokens) holds exactly
     # when every segment is ascending, in range, and starts after the last
     # non-empty one ends. Empty segments are dropped.
     if not isinstance(raw, list):
         raise RecordValidationError("expected a list of token-index lists",
-                                    field="segments", line_number=line_number)
+                                    field="segments")
     try:
         flat, lens = _rows_array(raw, "q")
     except _BAD_NUMBER:
@@ -364,11 +363,10 @@ def _segments_from_obj(raw: Any, num_tokens: int,
                               and (flat[1:] > flat[:-1]).all()):
             counts = np.array(lens, dtype=np.int64)
             return flat, np.cumsum(counts)[counts > 0]
-    raise _segments_error(raw, num_tokens, line_number)
+    raise _segments_error(raw, num_tokens)
 
 
-def _segments_error(raw: list, num_tokens: int,
-                    line_number: int | None) -> RecordValidationError:
+def _segments_error(raw: list, num_tokens: int) -> RecordValidationError:
     """The error naming the first segment that fails the combined check."""
     prev_last = -1
     for i, entry in enumerate(raw):
@@ -386,8 +384,7 @@ def _segments_error(raw: list, num_tokens: int,
         else:
             prev_last = entry[-1]
             continue
-        return RecordValidationError(message, field="segments", position=i,
-                                     line_number=line_number)
+        return RecordValidationError(message, field="segments", position=i)
     raise AssertionError("segments passed every per-segment check")
 
 
@@ -399,59 +396,61 @@ def rollout_from_obj(obj: Any, *, probs: bool = False,
     natural log with floor PROB_FLOOR; the sampled log-prob arrays are never
     converted.
     """
+    try:
+        return _rollout_from_obj(obj, probs)
+    except _RecordError as exc:
+        exc.line_number = line_number
+        raise
+
+
+def _rollout_from_obj(obj: Any, probs: bool) -> RolloutRecord:
     if not isinstance(obj, dict):
-        raise RecordParseError("top-level value is not an object",
-                               line_number=line_number)
+        raise RecordParseError("top-level value is not an object")
     for key in ("rollout_id", "tokens", "teacher_logp", "student_logp", "loss_mask"):
         if key not in obj:
-            raise RecordValidationError("missing field", field=key,
-                                        line_number=line_number)
+            raise RecordValidationError("missing field", field=key)
 
     rollout_id = obj["rollout_id"]
     if not isinstance(rollout_id, str):
-        raise RecordValidationError("expected a string", field="rollout_id",
-                                    line_number=line_number)
+        raise RecordValidationError("expected a string", field="rollout_id")
 
     tokens = obj["tokens"]
     if not isinstance(tokens, list) or set(map(type, tokens)) != {str}:
         raise RecordValidationError("expected a non-empty list of strings",
-                                    field="tokens", line_number=line_number)
+                                    field="tokens")
     num_tokens = len(tokens)
 
     arrays = {}
     for key in ("teacher_logp", "student_logp", "loss_mask"):
         raw = obj[key]
         if not isinstance(raw, list):
-            raise RecordValidationError("expected an array of numbers", field=key,
-                                        line_number=line_number)
+            raise RecordValidationError("expected an array of numbers", field=key)
         if len(raw) != num_tokens:
             raise RecordValidationError(
                 f"length mismatch: {len(raw)} values, expected {num_tokens}",
-                field=key, line_number=line_number)
-        arrays[key] = _float_array(raw, key, line_number)
+                field=key)
+        arrays[key] = _float_array(raw, key)
 
-    _check_logp(arrays["teacher_logp"], "teacher_logp", line_number)
-    _check_logp(arrays["student_logp"], "student_logp", line_number)
+    _check_logp(arrays["teacher_logp"], "teacher_logp")
+    _check_logp(arrays["student_logp"], "student_logp")
 
     mask = arrays["loss_mask"]
     bad = ~np.isfinite(mask) | (mask < 0.0) | (mask > 1.0)
     if bad.any():
         raise RecordValidationError("loss_mask values must lie in [0, 1]",
-                                    field="loss_mask", position=_first_true(bad),
-                                    line_number=line_number)
+                                    field="loss_mask", position=_first_true(bad))
     if not (mask > 0.0).any():
         raise RecordValidationError("loss_mask has no positive entries",
-                                    field="loss_mask", line_number=line_number)
+                                    field="loss_mask")
 
     candidates = None
     if obj.get("topk") is not None:
-        candidates = _candidates_from_obj(obj["topk"], num_tokens, probs, line_number)
+        candidates = _candidates_from_obj(obj["topk"], num_tokens, probs)
 
     segments = None
     if obj.get("segments") is not None:
         segments = SegmentIndex._unchecked(
-            *_segments_from_obj(obj["segments"], num_tokens, line_number),
-            num_tokens)
+            *_segments_from_obj(obj["segments"], num_tokens), num_tokens)
 
     return RolloutRecord(rollout_id=rollout_id, token_surfaces=tokens,
                          sampled_teacher_logp=arrays["teacher_logp"],

