@@ -58,8 +58,6 @@ def _parse_strategy(parser: argparse.ArgumentParser,
         prefix_tokens = int(spec.removeprefix("fixed:"))
     except ValueError:
         parser.error(f"invalid strategy {spec!r}: K must be an integer")
-    if prefix_tokens < 1:
-        parser.error(f"prefix length must be at least 1, got {prefix_tokens}")
     return "fixed_prefix", prefix_tokens
 
 

@@ -13,9 +13,10 @@ plus the arrays the rewrite needs and their sizes. The main process keeps
 only the scalars and spills each valid line to an anonymous temporary file
 (the input's size plus about 24 bytes per token) as one record: a head of
 seven int64s (line number, line bytes, tokens, segments, segment token ids,
-release span), the line, the sampled advantage and loss mask, and the
-segments' bounds and token ids. Pass 2 draws the permutation and rewrites
-the spill in order in the main process, without the pool.
+release span, empty at the closing brace when there is no ``release`` key),
+the line, the sampled advantage and loss mask, and the segments' bounds and
+token ids. Pass 2 draws the permutation and rewrites the spill in order in
+the main process, without the pool.
 
 A per-line function takes the raw line and returns a value or raises a
 TeachcutError, which _run_lines turns into that line's error text; only the
@@ -52,9 +53,9 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _at_line, _check_output_file, _float_array,
                       decode_line, dumps_obj, iter_jsonl_lines,
                       parse_rollout_line, rollout_from_obj, sampled_advantage)
-from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
-                       _transferred_release, build_prefix_mask,
-                       fixed_prefix_mask, rescale_advantages)
+from .reweight import (ReleaseAssignment, ReleaseResult, _release_sources,
+                       _retained_tokens, _transferred_release,
+                       build_prefix_mask, fixed_prefix_mask, rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores,
                            segment_tokens)
 
@@ -97,6 +98,8 @@ class PipelineConfig:
             raise ValueError(f"support_size must be at least 2, got {self.support_size}")
         if self.num_bins < 1:
             raise ValueError(f"num_bins must be at least 1, got {self.num_bins}")
+        if math.isnan(self.gain_threshold):
+            raise ValueError("gain_threshold must not be NaN")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
@@ -153,57 +156,64 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     has no per-record form; use process_batch for it.
     """
     num_tokens = record.num_tokens
+    decision = None
     if config.strategy == "full":
         prefix_mask = np.ones(num_tokens)
-        decision = None
     elif config.strategy == "fixed_prefix":
         prefix_mask = fixed_prefix_mask(num_tokens, config.prefix_tokens)
-        decision = None
     elif config.strategy == "bic_release":
         _, segments, _, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
     else:
         raise ValueError("random_release is a batch-level strategy; "
                          "use process_batch")
-    rescaled, scale = _rescale(sampled_advantage(record), record.loss_mask,
-                               prefix_mask)
+    return _reweight(sampled_advantage(record), record.loss_mask, prefix_mask,
+                     decision)
+
+
+def _reweight(advantages: np.ndarray, loss_mask: np.ndarray,
+              prefix_mask: np.ndarray,
+              decision: ChangeDecision | None = None) -> ReleaseResult:
+    # an overflow gives inf, for which _encode_release rejects the record
+    with np.errstate(over="ignore"):
+        rescaled, scale = rescale_advantages(advantages, loss_mask, prefix_mask)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
 
 
-def _rescale(advantages: np.ndarray, loss_mask: np.ndarray,
-             prefix_mask: np.ndarray) -> tuple[np.ndarray, float]:
-    # an overflow gives inf, for which _release_payload rejects the record
-    with np.errstate(over="ignore"):
-        return rescale_advantages(advantages, loss_mask, prefix_mask)
+# full and fixed_prefix never run the change-point test
+_UNTESTED = ChangeDecision(release_segment=-1, accepted=False, bic_gain=0.0,
+                           mu_pre=None, mu_post=None)
 
 
-def _release_payload(accepted: bool, release_segment: int, bic_gain: float,
-                     scale: float, prefix_mask: np.ndarray,
-                     rescaled: np.ndarray) -> dict[str, Any]:
-    """The release object. JSON has no form for inf or NaN, so a record whose
-    reweighting overflows is rejected rather than written with a stand-in."""
+def _encode_release(span: tuple[int, int],
+                    decision: ChangeDecision | ReleaseAssignment,
+                    result: ReleaseResult,
+                    ) -> tuple[tuple[tuple[int, int], bytes], bool]:
+    """((span, the encoded release object), accepted), as _splice_release
+    takes it. JSON has no form for inf or NaN, so a record whose reweighting
+    overflows is rejected rather than written with a stand-in."""
+    rescaled = result.rescaled_advantages
     finite = np.isfinite(rescaled)
     if not finite.all():
         raise RecordValidationError("rescaled advantage not finite",
                                     field="release.rescaled_advantages",
                                     position=int(np.argmax(~finite)))
-    return {
-        "accepted": accepted,
-        "release_segment": release_segment,
-        "bic_gain": bic_gain,
-        "scale": scale,
-        "prefix_mask": prefix_mask,
-        "rescaled_advantages": rescaled,
-    }
+    body = dumps_obj({"accepted": decision.accepted,
+                      "release_segment": decision.release_segment,
+                      "bic_gain": decision.bic_gain, "scale": result.scale,
+                      "prefix_mask": result.prefix_mask,
+                      "rescaled_advantages": rescaled})
+    if span[0] == span[1]:  # a JSON value is never empty: a new member
+        body = b',"release":' + body
+    return (span, body), decision.accepted
 
 
-def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
-    """Where the release payload goes in raw, as _splice_release takes it.
-
-    None when the payload is appended as a new member; for a line whose
-    object already has a top-level "release" key, the byte span of that
-    key's value, which the payload replaces, so every other byte of the line,
-    unknown values included, is echoed exactly as read.
+def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int]:
+    """Where the release object goes in raw, as _splice_release takes it:
+    the byte span of the top-level "release" value it replaces, so every
+    other byte of the line, unknown values included, is echoed exactly as
+    read; or, with no such key, the empty span at the closing brace, which
+    is the last '}' since only whitespace may follow it in a decoded line.
 
     A value written last, as release writes it, is found from the tail: the
     last '"release"' is the key when ',' or '{' precedes it and ':' follows,
@@ -212,7 +222,8 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
     of the whole line.
     """
     if "release" not in obj:
-        return None
+        end = raw.rindex(b"}")
+        return end, end
     # Exact: a '"' after ',', '{' or whitespace is unescaped and cannot close
     # a string (a bare release is not JSON, even with NaN), so it opens the
     # key "release". In a JSON line two structural '}' follow the tail's '{',
@@ -234,22 +245,15 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int] | None:
     return _member_value_span(raw, "release")
 
 
-def _splice_release(raw: bytes, encoded: tuple[tuple[int, int] | None, bytes],
+def _splice_release(raw: bytes, encoded: tuple[tuple[int, int], bytes],
                     ) -> bytes:
-    """The output line for raw, newline included, from (_release_span, the
-    encoded payload). Workers return only that pair, so the ~100 kB echoed
-    line is copied once, by the main process, which holds raw."""
-    span, body = encoded
-    line = memoryview(raw)
-    if span is None:
-        if raw[:1] == b"{" and raw[-2:] == b"}\n":
-            head = line[:-2]
-        else:
-            head = memoryview(raw.strip())[:-1]
-        return b"".join((head, b',"release":', body, b"}\n"))
-    start, end = span
+    """The output line: raw stripped, with the body in place of the span,
+    and a newline. Workers return only _encode_release's (span, body), so
+    the ~100 kB echoed line is copied once, by the main process."""
+    (start, end), body = encoded
     lead = 0 if raw[:1] == b"{" else len(raw) - len(raw.lstrip())
-    return b"".join((line[lead:start], body, raw[end:].rstrip(), b"\n"))
+    return b"".join((memoryview(raw)[lead:start], body, raw[end:].rstrip(),
+                     b"\n"))
 
 
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
@@ -470,21 +474,12 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
 
 
 def _release_line(raw: bytes, config: PipelineConfig,
-                  ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
+                  ) -> tuple[tuple[tuple[int, int], bytes], bool]:
     obj = decode_line(raw)
-    record = rollout_from_obj(obj, probs=config.probs)
-    result = dynamic_prefix_reweight(record, config)
-    decision = result.decision
-    if decision is not None:
-        accepted = decision.accepted
-        release_segment = decision.release_segment
-        gain = decision.bic_gain
-    else:
-        # full / fixed_prefix never ran the change-point test
-        accepted, release_segment, gain = False, -1, 0.0
-    payload = _release_payload(accepted, release_segment, gain, result.scale,
-                               result.prefix_mask, result.rescaled_advantages)
-    return (_release_span(obj, raw), dumps_obj(payload)), accepted
+    result = dynamic_prefix_reweight(rollout_from_obj(obj, probs=config.probs),
+                                     config)
+    return _encode_release(_release_span(obj, raw),
+                           result.decision or _UNTESTED, result)
 
 
 def process_batch(input_path: str, output_path: str,
@@ -512,7 +507,7 @@ def process_batch(input_path: str, output_path: str,
 
 
 # line number, line bytes, tokens, segments, segment token ids, and the
-# release span or -1, -1
+# release span
 _SPILL_HEAD = struct.Struct("7q")
 
 
@@ -524,11 +519,11 @@ def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
     obj = decode_line(raw)
     record = rollout_from_obj(obj, probs=config.probs)
     segments, accepted, retained, gain = decide(obj, record, config)
-    span = _release_span(obj, raw) or (-1, -1)
     arrays = b"".join((sampled_advantage(record), record.loss_mask,
                        segments.bounds, segments.token_ids))
     return ((record.num_tokens, accepted, retained, gain),
-            (record.num_tokens, len(segments), len(segments.token_ids), *span),
+            (record.num_tokens, len(segments), len(segments.token_ids),
+             *_release_span(obj, raw)),
             arrays)
 
 
@@ -570,20 +565,16 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
 
 
 def _transfer_line(raw: bytes, floats: np.ndarray, segments: SegmentIndex,
-                   span: tuple[int, int] | None, source: int,
+                   span: tuple[int, int], source: int,
                    decided: tuple[int, bool, int, float],
-                   ) -> tuple[tuple[tuple[int, int] | None, bytes], bool]:
+                   ) -> tuple[tuple[tuple[int, int], bytes], bool]:
     # pass 2: impose a source's decision on a spilled record; raw itself
     # is only echoed, by _write_release
     num_tokens = segments.num_tokens
     assignment = _transferred_release(source, decided, segments)
-    prefix_mask = build_prefix_mask(segments, assignment, num_tokens)
-    rescaled, scale = _rescale(floats[:num_tokens], floats[num_tokens:],
-                               prefix_mask)
-    payload = _release_payload(assignment.accepted, assignment.release_segment,
-                               assignment.bic_gain, scale, prefix_mask,
-                               rescaled)
-    return (span, dumps_obj(payload)), assignment.accepted
+    result = _reweight(floats[:num_tokens], floats[num_tokens:],
+                       build_prefix_mask(segments, assignment, num_tokens))
+    return _encode_release(span, assignment, result)
 
 
 def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
@@ -599,9 +590,8 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
         ints = np.frombuffer(read(8 * (num_segments + num_ids)), np.int64)
         segments = SegmentIndex._unchecked(ints[num_segments:],
                                            ints[:num_segments], num_tokens)
-        span = (start, end) if start >= 0 else None
-        yield line, _run_lines(line, _transfer_line, floats, segments, span,
-                               source, decided[source])
+        yield line, _run_lines(line, _transfer_line, floats, segments,
+                               (start, end), source, decided[source])
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,

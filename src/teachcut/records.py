@@ -30,6 +30,11 @@ PROB_FLOOR = 1e-12
 class TeachcutError(Exception):
     """Base class for errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt from args and attributes without __init__, whose
+        # parameters are not args, so an error crosses a process pool intact
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 def _at_line(line_number: int, message: str) -> str:
     return f"line {line_number}: {message}"

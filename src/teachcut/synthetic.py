@@ -19,6 +19,18 @@ from .records import (RolloutRecord, SegmentIndex, TopKCandidates,
                       _check_output_file, dumps_obj, rollout_to_obj)
 
 
+def _check_generation(tokens_per_segment: int, support_size: int,
+                      noise_std: float, seed: int) -> None:
+    if tokens_per_segment < 1:
+        raise ValueError(f"tokens_per_segment must be at least 1, got {tokens_per_segment}")
+    if support_size < 2:
+        raise ValueError(f"support_size must be at least 2, got {support_size}")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Knobs for piecewise-constant margin datasets.
@@ -40,13 +52,8 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.num_segments < 1:
             raise ValueError(f"num_segments must be at least 1, got {self.num_segments}")
-        if self.tokens_per_segment < 1:
-            raise ValueError(
-                f"tokens_per_segment must be at least 1, got {self.tokens_per_segment}")
-        if self.support_size < 2:
-            raise ValueError(f"support_size must be at least 2, got {self.support_size}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+        _check_generation(self.tokens_per_segment, self.support_size,
+                          self.noise_std, self.seed)
         for name in ("pre_margin_mean", "post_margin_mean"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -91,12 +98,7 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
         raise ValueError("segment_means must be a non-empty 1-d array")
     if not np.isfinite(means).all():
         raise ValueError("segment_means must be finite")
-    if tokens_per_segment < 1:
-        raise ValueError(f"tokens_per_segment must be at least 1, got {tokens_per_segment}")
-    if support_size < 2:
-        raise ValueError(f"support_size must be at least 2, got {support_size}")
-    if not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
+    _check_generation(tokens_per_segment, support_size, noise_std, seed)
 
     num_segments = means.size
     num_tokens = num_segments * tokens_per_segment

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -138,6 +139,29 @@ def test_simulate_validation(tmp_path):
     expect_usage_exit(["simulate", "--out", out, "--n", "6", "--tau", "6"])
     expect_usage_exit(["simulate", "--out", out, "--rollouts", "0"])
     expect_usage_exit(["simulate", "--out", out, "--noise", "-1"])
+
+
+def test_simulate_negative_seed_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    expect_usage_exit(["simulate", "--out", str(out), "--seed", "-1"])
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "ground_truth.jsonl").exists()
+
+
+def test_diagnose_nan_gain_threshold_is_a_usage_error(tmp_path, dataset,
+                                                     capsys):
+    out = tmp_path / "diag"
+    expect_usage_exit(["diagnose", "--in", dataset, "--out", str(out),
+                       "--gain-threshold", "nan"])
+    assert "gain_threshold" in capsys.readouterr().err
+    assert not out.exists()
+    # an infinite threshold is legal: no gain lies strictly above it
+    assert run(["diagnose", "--in", dataset, "--out", str(out),
+                "--gain-threshold", "inf"]) == 0
+    with open(out / "summary.csv", newline="") as handle:
+        summary = next(csv.DictReader(handle))
+    assert float(summary["fraction_gain_above_threshold"]) == 0.0
 
 
 def test_simulate_refuses_its_sidecar_path(tmp_path, capsys):

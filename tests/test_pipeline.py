@@ -22,7 +22,7 @@ from teachcut.pipeline import (PipelineConfig, _member_value_span,
                                dynamic_prefix_reweight, permute_batch,
                                process_batch)
 from teachcut.records import (DataProcessingError, TeachcutError,
-                              iter_jsonl_lines, parse_rollout_line,
+                              dumps_obj, iter_jsonl_lines, parse_rollout_line,
                               rollout_from_obj, rollout_to_obj,
                               sampled_advantage)
 from teachcut.reweight import (build_prefix_mask, permute_release_points,
@@ -511,6 +511,72 @@ def test_release_span_of_release_output_needs_no_decode(tmp_path,
     assert json.loads(raw[start:end]) == obj["release"]
 
 
+_LAYOUTS = ("compact", "padded", "no final newline", "crlf", "spaced",
+            "release first", "release last")
+_COMMANDS = {
+    "bic": (process_batch, {}),
+    "full": (process_batch, dict(strategy="full")),
+    "fixed:20": (process_batch, dict(strategy="fixed_prefix", prefix_tokens=20)),
+    "random": (process_batch, dict(strategy="random_release", random_seed=3)),
+    "permute": (permute_batch, dict(random_seed=8)),
+}
+
+
+def _layout_parts(obj, release, layout):
+    """(before, value, after) of one input line in a layout: the bytes of
+    its release value, b"" when it has none, and the bytes around them."""
+    sep = (" , ", " : ") if layout == "spaced" else (",", ":")
+    members = json.dumps(obj, separators=sep).encode()[1:-1]
+    if release is None:
+        before, value, after = b"{" + members, b"", b"}"
+    else:
+        if layout.startswith("release"):
+            release = dict(release, note="}")  # a brace inside a string
+        value = json.dumps(release, separators=sep).encode()
+        key = b'"release"' + sep[1].encode()
+        if layout == "release first":
+            before, after = b"{" + key, sep[0].encode() + members + b"}"
+        else:
+            before, after = b"{" + members + sep[0].encode() + key, b"}"
+    if layout == "padded":
+        before, after = b"  " + before, after + b" \t"
+    elif layout == "crlf":
+        after += b"\r"
+    return before, value, after
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_release_is_spliced_into_the_stripped_line(tmp_path, layout, command):
+    # every output line is its input line stripped, with only the release
+    # value replaced, or with ',"release":' and the value put before the
+    # closing brace when the line has none; the value is dumps_obj of the
+    # release object the line decodes to
+    objs = [planted_obj(i, noise=0.5, seed=2) for i in range(4)]
+    released = str(tmp_path / "released.jsonl")
+    process_batch(write_objs(tmp_path / "plain.jsonl", objs), released,
+                  PipelineConfig(jobs=1))
+    releases = [obj["release"] for obj in read_objs(released)]
+    if command != "permute" and not layout.startswith("release"):
+        releases = [None] * len(objs)
+    parts = [_layout_parts(obj, release, layout)
+             for obj, release in zip(objs, releases)]
+    text = b"\n".join(b"".join(part) for part in parts)
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(text if layout == "no final newline" else text + b"\n")
+    out = str(tmp_path / "out.jsonl")
+    run, options = _COMMANDS[command]
+    report = run(str(src), out, PipelineConfig(jobs=1, **options))
+    assert (report.num_records, report.num_errors) == (len(objs), 0)
+    lines = Path(out).read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == len(objs)
+    for (before, value, after), line in zip(parts, lines):
+        new = dumps_obj(json.loads(line)["release"])
+        if not value:
+            new = b',"release":' + new
+        assert line == (before + new + after).strip()
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_batches_restore_gc_state(tmp_path, enabled):
     # chunk workers pause the collector while they decode; in this process
@@ -894,6 +960,7 @@ def test_output_path_must_differ(tmp_path):
     (dict(support_size=1), "support_size"),
     (dict(num_bins=0), "num_bins"),
     (dict(jobs=0), "jobs"),
+    (dict(gain_threshold=math.nan), "gain_threshold"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -1,16 +1,18 @@
 import json
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut.records import (PROB_FLOOR, RecordParseError,
-                              RecordValidationError, decode_line,
-                              iter_jsonl_lines, parse_rollout_line,
-                              rollout_from_obj, rollout_to_obj,
-                              sampled_advantage)
+from teachcut.records import (PROB_FLOOR, DataProcessingError,
+                              RecordParseError, RecordValidationError,
+                              decode_line, iter_jsonl_lines,
+                              parse_rollout_line, rollout_from_obj,
+                              rollout_to_obj, sampled_advantage)
 
 from helpers import valid_obj, to_line
 
@@ -62,6 +64,32 @@ def test_public_readers_attach_the_line_number(read, error):
         read()
     assert info.value.line_number is None
     assert not str(info.value).startswith("line ")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RecordValidationError("bad", field="topk.ids", position=2),
+    lambda: RecordParseError("unexpected end", byte_offset=14),
+    lambda: DataProcessingError(5, "segments: bad"),
+])
+@pytest.mark.parametrize("line_number", [None, 4])
+def test_errors_survive_pickling(make, line_number):
+    error = make()
+    if line_number is not None and not isinstance(error, DataProcessingError):
+        error.line_number = line_number
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for name in ("field", "position", "byte_offset", "line_number"):
+        assert getattr(copy, name, "absent") == getattr(error, name, "absent")
+
+
+def test_errors_cross_a_process_pool():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(rollout_from_obj, {}, line_number=3)
+        with pytest.raises(RecordValidationError) as info:
+            future.result()
+    assert info.value.field == "rollout_id"
+    assert info.value.line_number == 3
 
 
 def test_top_level_array_rejected():

@@ -26,6 +26,7 @@ from reference import oracle_change_point, planted_scores
     (dict(pre_margin_mean=math.inf), "pre_margin_mean"),
     (dict(num_segments=4, true_tau=0), "true_tau"),
     (dict(num_segments=4, true_tau=4), "true_tau"),
+    (dict(seed=-1), "seed must be non-negative"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -97,6 +98,8 @@ def test_generate_input_checks():
         generate_rollout([1.0], tokens_per_segment=0)
     with pytest.raises(ValueError, match="support_size"):
         generate_rollout([1.0], tokens_per_segment=2, support_size=1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        generate_rollout([1.0], tokens_per_segment=2, seed=-1)
 
 
 def test_piecewise_uses_config_profile():
