@@ -8,18 +8,17 @@ The TEACHCUT_LOG environment variable sets the log level (DEBUG, INFO, ...).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
 
 from .diagnostics import snr_release_check
-from .pipeline import (PipelineConfig, _check_out_dir, _check_paths,
-                       diagnose_batch, permute_batch, process_batch)
+from .pipeline import (_STRATEGY_HELP, PipelineConfig, _check_out_dir,
+                       _check_paths, diagnose_batch, permute_batch,
+                       process_batch)
 from .records import DataProcessingError
 from .synthetic import SyntheticConfig, write_dataset
-
-_STRATEGIES = {"bic": "bic_release", "full": "full", "random": "random_release"}
-_STRATEGY_HELP = "bic | full | fixed:K | random"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,17 +47,11 @@ def _require_input(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"input file not found: {path}")
 
 
-def _parse_strategy(parser: argparse.ArgumentParser,
-                    spec: str) -> tuple[str, int | None]:
-    if spec in _STRATEGIES:
-        return _STRATEGIES[spec], None
-    if not spec.startswith("fixed:"):
-        parser.error(f"unknown strategy {spec!r} (expected {_STRATEGY_HELP})")
-    try:
-        prefix_tokens = int(spec.removeprefix("fixed:"))
-    except ValueError:
-        parser.error(f"invalid strategy {spec!r}: K must be an integer")
-    return "fixed_prefix", prefix_tokens
+def _config(parser: argparse.ArgumentParser, cls, args: argparse.Namespace):
+    """cls built from the parsed flags whose dest is one of its fields."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return _or_usage(parser, cls, **{name: value for name, value
+                                     in vars(args).items() if name in names})
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str,
@@ -70,8 +63,8 @@ def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str,
 
 
 def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--segments", choices=("record", "builtin"),
-                     default="record",
+    sub.add_argument("--segments", dest="segments_source",
+                     choices=("record", "builtin"), default="record",
                      help="take segment layout from the record when present, "
                           "or always re-derive it from token surfaces")
     sub.add_argument("--probs", action="store_true",
@@ -87,28 +80,21 @@ def _report_line(verb: str, report) -> str:
             f"{report.num_accepted} accepted, {report.num_errors} errors")
 
 
-def _cmd_release(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_rewrite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # release and permute: one JSONL output, rewritten from the input
     _require_input(parser, args.input)
     _or_usage(parser, _check_paths, args.input, args.output)
-    strategy, prefix_tokens = _parse_strategy(parser, args.strategy)
-    config = _or_usage(parser, PipelineConfig, support_size=args.top_k,
-                       strategy=strategy, prefix_tokens=prefix_tokens,
-                       segments_source=args.segments, probs=args.probs,
-                       strict=args.strict, jobs=args.jobs,
-                       random_seed=args.seed)
-    report = process_batch(args.input, args.output, config)
-    print(_report_line("release", report), file=sys.stderr)
+    report = args.batch(args.input, args.output,
+                        _config(parser, PipelineConfig, args))
+    print(_report_line(args.command, report), file=sys.stderr)
     return 0
 
 
 def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _require_input(parser, args.input)
     _or_usage(parser, _check_out_dir, args.output)
-    config = _or_usage(parser, PipelineConfig, support_size=args.top_k,
-                       num_bins=args.bins, gain_threshold=args.gain_threshold,
-                       segments_source=args.segments, probs=args.probs,
-                       strict=args.strict, jobs=args.jobs)
-    result = diagnose_batch(args.input, args.output, config)
+    result = diagnose_batch(args.input, args.output,
+                            _config(parser, PipelineConfig, args))
     print(_report_line("diagnose", result.report), file=sys.stderr)
     if not result.paths:
         print("diagnose: no valid records; nothing written", file=sys.stderr)
@@ -117,25 +103,10 @@ def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_permute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input)
-    _or_usage(parser, _check_paths, args.input, args.output)
-    config = _or_usage(parser, PipelineConfig, segments_source=args.segments,
-                       probs=args.probs, strict=args.strict, jobs=args.jobs,
-                       random_seed=args.seed)
-    report = permute_batch(args.input, args.output, config)
-    print(_report_line("permute", report), file=sys.stderr)
-    return 0
-
-
 def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = _or_usage(parser, SyntheticConfig, num_segments=args.n,
-                       tokens_per_segment=args.tokens_per_segment,
-                       true_tau=args.tau, pre_margin_mean=args.pre,
-                       post_margin_mean=args.post, noise_std=args.noise,
-                       support_size=args.top_k, seed=args.seed)
     data_path, truth_path = _or_usage(parser, write_dataset, args.output,
-                                      config, args.rollouts)
+                                      _config(parser, SyntheticConfig, args),
+                                      args.rollouts)
     print(f"simulate: wrote {args.rollouts} rollouts to {data_path} "
           f"(ground truth: {truth_path})", file=sys.stderr)
     return 0
@@ -160,23 +131,26 @@ def _build_parser() -> _Parser:
     release = subs.add_parser("release", formatter_class=fmt,
                               help="detect release points and rewrite advantages")
     _add_io_flags(release, out_help="output JSONL file")
-    release.add_argument("--top-k", type=int, default=4,
+    release.add_argument("--top-k", dest="support_size", metavar="TOP_K",
+                         type=int, default=4,
                          help="candidate support size per position")
     release.add_argument("--strategy", default="bic", metavar="NAME",
                          help=f"masking strategy: {_STRATEGY_HELP}")
-    release.add_argument("--seed", type=int, default=0,
+    release.add_argument("--seed", dest="random_seed", metavar="SEED",
+                         type=int, default=0,
                          help="permutation seed for the random strategy")
     _add_batch_flags(release)
-    release.set_defaults(handler=_cmd_release)
+    release.set_defaults(handler=_cmd_rewrite, batch=process_batch)
 
     diagnose = subs.add_parser("diagnose", formatter_class=fmt,
                                help="write binned statistics and a release summary")
     _add_io_flags(diagnose, out_metavar="DIR", out_help="directory for "
                   "bins.csv, margin_bins.csv, summary.csv")
-    diagnose.add_argument("--top-k", type=int, default=4,
+    diagnose.add_argument("--top-k", dest="support_size", metavar="TOP_K",
+                          type=int, default=4,
                           help="candidate support size per position")
-    diagnose.add_argument("--bins", type=int, default=20,
-                          help="number of normalized-position bins")
+    diagnose.add_argument("--bins", dest="num_bins", metavar="BINS", type=int,
+                          default=20, help="number of normalized-position bins")
     diagnose.add_argument("--gain-threshold", type=float, default=6.0,
                           help="threshold for the strong-gain fraction")
     _add_batch_flags(diagnose)
@@ -186,9 +160,10 @@ def _build_parser() -> _Parser:
                               help="randomly reassign release points in an "
                                    "existing release output")
     _add_io_flags(permute, out_help="output JSONL file")
-    permute.add_argument("--seed", type=int, default=0, help="permutation seed")
+    permute.add_argument("--seed", dest="random_seed", metavar="SEED",
+                         type=int, default=0, help="permutation seed")
     _add_batch_flags(permute)
-    permute.set_defaults(handler=_cmd_permute)
+    permute.set_defaults(handler=_cmd_rewrite, batch=permute_batch)
 
     simulate = subs.add_parser("simulate", formatter_class=fmt,
                                help="generate synthetic rollouts with planted "
@@ -198,20 +173,25 @@ def _build_parser() -> _Parser:
                                "beside it)")
     simulate.add_argument("--rollouts", type=int, default=100,
                           help="number of rollouts to generate")
-    simulate.add_argument("--n", type=int, default=6, help="segments per rollout")
-    simulate.add_argument("--tau", type=int, default=None,
+    simulate.add_argument("--n", dest="num_segments", metavar="N", type=int,
+                          default=6, help="segments per rollout")
+    simulate.add_argument("--tau", dest="true_tau", metavar="TAU", type=int,
+                          default=None,
                           help="planted change point (segments at the pre mean); "
                                "omit for no change")
-    simulate.add_argument("--noise", type=float, default=0.0,
+    simulate.add_argument("--noise", dest="noise_std", metavar="NOISE",
+                          type=float, default=0.0,
                           help="margin noise standard deviation")
-    simulate.add_argument("--pre", type=float, default=1.0,
+    simulate.add_argument("--pre", dest="pre_margin_mean", metavar="PRE",
+                          type=float, default=1.0,
                           help="pre-change margin mean")
-    simulate.add_argument("--post", type=float, default=0.0,
+    simulate.add_argument("--post", dest="post_margin_mean", metavar="POST",
+                          type=float, default=0.0,
                           help="post-change margin mean")
     simulate.add_argument("--tokens-per-segment", type=int, default=10,
                           help="tokens in each segment")
-    simulate.add_argument("--top-k", type=int, default=4,
-                          help="candidates per position")
+    simulate.add_argument("--top-k", dest="support_size", metavar="TOP_K",
+                          type=int, default=4, help="candidates per position")
     simulate.add_argument("--seed", type=int, default=0, help="noise seed")
     simulate.set_defaults(handler=_cmd_simulate)
 

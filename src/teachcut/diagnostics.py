@@ -218,17 +218,6 @@ class SnrReport:
     release_improves: bool
 
 
-def release_improves_by_moments(m_prefix: float, v_prefix: float,
-                                m_suffix: float, v_suffix: float) -> bool:
-    """Equivalent inequality form: v_R/v_P >= 2(m_R/m_P) + (m_R/m_P)^2."""
-    if m_prefix == 0.0:
-        raise ValueError("the inequality form requires m_prefix != 0")
-    if v_prefix <= 0.0:
-        raise ValueError(f"v_prefix must be positive, got {v_prefix}")
-    ratio = m_suffix / m_prefix
-    return v_suffix / v_prefix >= 2.0 * ratio + ratio * ratio
-
-
 def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
                       v_suffix: float) -> SnrReport:
     """Compare directional SNR with and without the released suffix.
@@ -242,17 +231,10 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
     snr_release = m_prefix * m_prefix / v_prefix
     total = m_prefix + m_suffix
     snr_full = total * total / (v_prefix + v_suffix)
-    improves = snr_release >= snr_full
-    if m_prefix != 0.0:
-        by_moments = release_improves_by_moments(m_prefix, v_prefix,
-                                                 m_suffix, v_suffix)
-        if by_moments != improves:
-            warnings.warn("direct SNR comparison and the moment inequality "
-                          "disagree at a floating-point boundary",
-                          RuntimeWarning, stacklevel=2)
     return SnrReport(m_prefix=m_prefix, v_prefix=v_prefix, m_suffix=m_suffix,
                      v_suffix=v_suffix, snr_full=snr_full,
-                     snr_release=snr_release, release_improves=improves)
+                     snr_release=snr_release,
+                     release_improves=snr_release >= snr_full)
 
 
 # ----------------------------------------------------------------------------

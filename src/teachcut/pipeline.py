@@ -61,7 +61,25 @@ from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores
 
 logger = logging.getLogger("teachcut")
 
-STRATEGIES = ("bic_release", "full", "fixed_prefix", "random_release")
+_STRATEGY_HELP = "bic | full | fixed:K | random"
+
+
+def _prefix_tokens(strategy: str) -> int | None:
+    """K of a "fixed:K" strategy, None for the others."""
+    if strategy in ("bic", "full", "random"):
+        return None
+    if not strategy.startswith("fixed:"):
+        raise ValueError(f"unknown strategy {strategy!r} "
+                         f"(expected {_STRATEGY_HELP})")
+    try:
+        k = int(strategy.removeprefix("fixed:"))
+    except ValueError:
+        raise ValueError(f"invalid strategy {strategy!r}: "
+                         f"K must be an integer") from None
+    if k < 1:
+        raise ValueError(f"invalid strategy {strategy!r}: K must be at least 1")
+    return k
+
 
 # A chunk ends at the first line that brings it to this many bytes, so the
 # chunks in flight, at most jobs * 4, hold jobs * 4 * (1 MiB + the longest
@@ -71,13 +89,15 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Batch-processing knobs; flag defaults match these field defaults."""
+    """Batch-processing knobs. Each field is the dest of the CLI flag that
+    sets it and has that flag's default. ``strategy`` takes the --strategy
+    spellings: "bic", "full", "fixed:K" (keep the first K >= 1 tokens) or
+    "random"."""
 
     support_size: int = 4
     num_bins: int = 20
     gain_threshold: float = 6.0
-    strategy: str = "bic_release"
-    prefix_tokens: int | None = None
+    strategy: str = "bic"
     segments_source: str = "record"
     probs: bool = False
     strict: bool = False
@@ -85,15 +105,10 @@ class PipelineConfig:
     random_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; "
-                             f"expected one of {', '.join(STRATEGIES)}")
+        _prefix_tokens(self.strategy)  # raises for an unknown strategy
         if self.segments_source not in ("record", "builtin"):
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")
-        if self.strategy == "fixed_prefix":
-            if self.prefix_tokens is None or self.prefix_tokens < 1:
-                raise ValueError("fixed_prefix requires prefix_tokens >= 1")
         if self.support_size < 2:
             raise ValueError(f"support_size must be at least 2, got {self.support_size}")
         if self.num_bins < 1:
@@ -102,6 +117,8 @@ class PipelineConfig:
             raise ValueError("gain_threshold must not be NaN")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.random_seed < 0:
+            raise ValueError(f"random_seed must be non-negative, got {self.random_seed}")
 
 
 @dataclass(frozen=True)
@@ -152,21 +169,20 @@ def dynamic_prefix_reweight(record: RolloutRecord,
                             ) -> ReleaseResult:
     """Compute one record's prefix mask and mass-preserving reweighting.
 
-    The random_release strategy permutes decisions across a whole batch and
-    has no per-record form; use process_batch for it.
+    The random strategy permutes decisions across a whole batch and has no
+    per-record form; use process_batch for it.
     """
     num_tokens = record.num_tokens
     decision = None
     if config.strategy == "full":
         prefix_mask = np.ones(num_tokens)
-    elif config.strategy == "fixed_prefix":
-        prefix_mask = fixed_prefix_mask(num_tokens, config.prefix_tokens)
-    elif config.strategy == "bic_release":
+    elif config.strategy == "bic":
         _, segments, _, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
+    elif config.strategy == "random":
+        raise ValueError("random is a batch-level strategy; use process_batch")
     else:
-        raise ValueError("random_release is a batch-level strategy; "
-                         "use process_batch")
+        prefix_mask = fixed_prefix_mask(num_tokens, _prefix_tokens(config.strategy))
     return _reweight(sampled_advantage(record), record.loss_mask, prefix_mask,
                      decision)
 
@@ -180,7 +196,7 @@ def _reweight(advantages: np.ndarray, loss_mask: np.ndarray,
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
 
 
-# full and fixed_prefix never run the change-point test
+# full and fixed:K never run the change-point test
 _UNTESTED = ChangeDecision(release_segment=-1, accepted=False, bic_gain=0.0,
                            mu_pre=None, mu_post=None)
 
@@ -491,7 +507,7 @@ def process_batch(input_path: str, output_path: str,
     """
     _check_paths(input_path, output_path)
     jobs = _resolve_jobs(config.jobs)
-    if config.strategy == "random_release":
+    if config.strategy == "random":
         return _transfer_batch(input_path, output_path, config, jobs,
                                _own_decision)
 

@@ -99,6 +99,8 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
     if not np.isfinite(means).all():
         raise ValueError("segment_means must be finite")
     _check_generation(tokens_per_segment, support_size, noise_std, seed)
+    if index < 0:
+        raise ValueError(f"index must be non-negative, got {index}")
 
     num_segments = means.size
     num_tokens = num_segments * tokens_per_segment

@@ -1,6 +1,7 @@
 """Test-only references, kept out of the package: the profiled BIC formula,
 planted segment-score sequences and the naive change-point oracle that the
-production detector is cross-validated against."""
+production detector is cross-validated against, and the moment-inequality
+form of the SNR condition that snr_release_check is checked against."""
 
 from __future__ import annotations
 
@@ -82,3 +83,14 @@ def oracle_change_point(scores: Any, *, eps: float = 1e-12) -> tuple[int, bool, 
     if best >= bic0:
         return n, False, 0.0
     return int(candidates[j]) + 1, True, max(0.0, bic0 - best)
+
+
+def release_improves_by_moments(m_prefix: float, v_prefix: float,
+                                m_suffix: float, v_suffix: float) -> bool:
+    """Equivalent inequality form: v_R/v_P >= 2(m_R/m_P) + (m_R/m_P)^2."""
+    if m_prefix == 0.0:
+        raise ValueError("the inequality form requires m_prefix != 0")
+    if v_prefix <= 0.0:
+        raise ValueError(f"v_prefix must be positive, got {v_prefix}")
+    ratio = m_suffix / m_prefix
+    return v_suffix / v_prefix >= 2.0 * ratio + ratio * ratio

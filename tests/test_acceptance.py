@@ -20,7 +20,6 @@ from teachcut import records
 from teachcut.changepoint import detect_downward_change
 from teachcut.cli import main as cli_main
 from teachcut.diagnostics import (binned_advantage_stats, binned_margin_curve,
-                                  release_improves_by_moments,
                                   snr_release_check)
 from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import PipelineConfig, permute_batch, process_batch
@@ -28,7 +27,8 @@ from teachcut.records import parse_rollout_line, rollout_to_obj
 from teachcut.reweight import rescale_advantages
 from teachcut.synthetic import SyntheticConfig, generate_rollout
 
-from reference import oracle_change_point, planted_scores, profiled_bic
+from reference import (oracle_change_point, planted_scores, profiled_bic,
+                       release_improves_by_moments)
 
 
 def _report(capsys, num, ok, detail):

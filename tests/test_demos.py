@@ -1,5 +1,6 @@
 """Each demo script runs to completion against the library API, and the
-benchmark harness imports what it needs from it."""
+benchmark harness imports what it needs from it and passes its own output
+checks on small inputs."""
 
 import os
 import subprocess
@@ -31,3 +32,32 @@ def test_benchmark_modules_import(tmp_path):
     done = _run(["-c", "import check, compare, inputs, measure, replay, run"],
                 tmp_path, str(ROOT / "benchmarks"))
     assert done.returncode == 0, done.stderr
+
+
+_HARNESS_SMOKE = """
+import os, sys
+import check, inputs, measure
+work = sys.argv[1]
+dense = inputs.write_dense(os.path.join(work, "dense.jsonl"), 7, 8)
+released = os.path.join(work, "released.jsonl")
+measure.run_batch("release_dense", dense.path, released, 2, 7)
+permuted = os.path.join(work, "permuted.jsonl")
+measure.run_batch("permute_dense", released, permuted, 2, 7)
+ragged = inputs.write_ragged(os.path.join(work, "ragged.jsonl"), 7)
+diag = os.path.join(work, "diag")
+report = measure.run_batch("diagnose_ragged", ragged.path, diag, 2, 7)
+print(check.check_release(dense.path, released),
+      check.check_permute(released, permuted, 7),
+      check.check_diagnose(check.diagnose_reference(ragged.path),
+                           ragged.planted, ragged.num_lines, diag,
+                           report.errors))
+"""
+
+
+def test_benchmark_harness_smoke(tmp_path):
+    # each workload's batch call and output check, as the harness makes
+    # them: a library change that breaks the benchmark fails here
+    done = _run(["-c", _HARNESS_SMOKE, str(tmp_path)], tmp_path,
+                str(ROOT / "benchmarks"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "0"]  # wrong records per check

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from teachcut.changepoint import ChangeDecision
 from teachcut.diagnostics import (BinAccumulator, binned_advantage_stats,
-                                  binned_margin_curve,
-                                  release_improves_by_moments, release_summary,
+                                  binned_margin_curve, release_summary,
                                   snr_release_check, write_bins_csv,
                                   write_snr_csv, write_summary_csv)
 from teachcut.segmentation import SegmentIndex, SegmentScores
+
+from reference import release_improves_by_moments
 
 
 def test_bins_split_by_normalized_position():

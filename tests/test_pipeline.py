@@ -4,7 +4,7 @@ import logging
 import math
 import tempfile
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut import pipeline
+from teachcut import cli, pipeline
 from teachcut.changepoint import ChangeDecision
 from teachcut.diagnostics import (binned_advantage_stats, binned_margin_curve,
                                   write_bins_csv)
@@ -101,7 +101,7 @@ def test_full_strategy_keeps_everything(tmp_path):
 def test_fixed_prefix_strategy(tmp_path):
     src = write_objs(tmp_path / "in.jsonl", [valid_obj(num_tokens=6)])
     out = str(tmp_path / "out.jsonl")
-    config = PipelineConfig(strategy="fixed_prefix", prefix_tokens=2)
+    config = PipelineConfig(strategy="fixed:2")
     process_batch(src, out, config)
     release = read_objs(out)[0]["release"]
     assert release["release_segment"] == -1
@@ -186,7 +186,7 @@ def test_non_finite_release_is_rejected(tmp_path):
     lines = [json.dumps(obj).encode(), json.dumps(valid_obj()).encode()]
     src = write_lines(tmp_path / "in.jsonl", lines)
     out = tmp_path / "out.jsonl"
-    config = PipelineConfig(strategy="fixed_prefix", prefix_tokens=1, jobs=1)
+    config = PipelineConfig(strategy="fixed:1", jobs=1)
     report = process_batch(src, str(out), config)
     assert (report.num_records, report.num_errors) == (1, 1)
     assert report.errors[0][1] == ("line 1: release.rescaled_advantages at "
@@ -360,7 +360,7 @@ def test_random_release_transfers_decisions(tmp_path):
     rand_out = str(tmp_path / "rand.jsonl")
     bic_report = process_batch(src, bic_out)
     rand_report = process_batch(src, rand_out,
-                                PipelineConfig(strategy="random_release",
+                                PipelineConfig(strategy="random",
                                                random_seed=3))
     assert bic_report.num_accepted == 12
     assert rand_report.num_accepted == 12
@@ -369,11 +369,11 @@ def test_random_release_transfers_decisions(tmp_path):
     assert _release_rows(bic_out) != _release_rows(rand_out)
 
     again = str(tmp_path / "again.jsonl")
-    process_batch(src, again, PipelineConfig(strategy="random_release",
+    process_batch(src, again, PipelineConfig(strategy="random",
                                              random_seed=3))
     assert Path(again).read_bytes() == Path(rand_out).read_bytes()
     other = str(tmp_path / "other.jsonl")
-    process_batch(src, other, PipelineConfig(strategy="random_release",
+    process_batch(src, other, PipelineConfig(strategy="random",
                                              random_seed=4))
     assert Path(other).read_bytes() != Path(rand_out).read_bytes()
 
@@ -516,8 +516,8 @@ _LAYOUTS = ("compact", "padded", "no final newline", "crlf", "spaced",
 _COMMANDS = {
     "bic": (process_batch, {}),
     "full": (process_batch, dict(strategy="full")),
-    "fixed:20": (process_batch, dict(strategy="fixed_prefix", prefix_tokens=20)),
-    "random": (process_batch, dict(strategy="random_release", random_seed=3)),
+    "fixed:20": (process_batch, dict(strategy="fixed:20")),
+    "random": (process_batch, dict(strategy="random", random_seed=3)),
     "permute": (permute_batch, dict(random_seed=8)),
 }
 
@@ -711,7 +711,7 @@ def test_transfers_match_per_record_functions(tmp_path):
 
     for name, path, decisions, run in [
             ("random", src, own, lambda out, config: process_batch(
-                src, out, replace(config, strategy="random_release"))),
+                src, out, replace(config, strategy="random"))),
             ("permute", released, written, lambda out, config: permute_batch(
                 released, out, config))]:
         expected = _expected_transfer(path, decisions, seed=4)
@@ -734,7 +734,7 @@ def test_random_release_counts_each_bad_line_once(tmp_path, caplog):
         bic = process_batch(src, str(tmp_path / "bic.jsonl"))
         caplog.clear()
         random = process_batch(src, str(tmp_path / "random.jsonl"),
-                               PipelineConfig(strategy="random_release"))
+                               PipelineConfig(strategy="random"))
     assert [number for number, _ in random.errors] == [6, 21, 34]
     assert random.errors == bic.errors
     assert caplog.messages == [message for _, message in random.errors]
@@ -809,7 +809,7 @@ def test_transfers_read_the_input_once_with_one_pool(tmp_path, monkeypatch):
     process_batch(src, released, PipelineConfig(jobs=2))
     for run in (lambda out, config: permute_batch(released, out, config),
                 lambda out, config: process_batch(
-                    src, out, replace(config, strategy="random_release"))):
+                    src, out, replace(config, strategy="random"))):
         reads.clear()
         pools.clear()
         report = run(str(tmp_path / "out.jsonl"), PipelineConfig(jobs=2))
@@ -955,23 +955,73 @@ def test_output_path_must_differ(tmp_path):
 @pytest.mark.parametrize("kwargs, match", [
     (dict(strategy="banana"), "unknown strategy"),
     (dict(segments_source="magic"), "segments_source"),
-    (dict(strategy="fixed_prefix"), "prefix_tokens"),
-    (dict(strategy="fixed_prefix", prefix_tokens=0), "prefix_tokens"),
+    (dict(strategy="fixed"), "unknown strategy"),
+    (dict(strategy="fixed:0"), "K must be at least 1"),
     (dict(support_size=1), "support_size"),
     (dict(num_bins=0), "num_bins"),
     (dict(jobs=0), "jobs"),
     (dict(gain_threshold=math.nan), "gain_threshold"),
+    (dict(strategy="fixed:abc"), "K must be an integer"),
+    # the long names are not spellings of a strategy
+    (dict(strategy="bic_release"), "unknown strategy"),
+    (dict(strategy="fixed_prefix"), "unknown strategy"),
+    (dict(random_seed=-1), "random_seed must be non-negative"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         PipelineConfig(**kwargs)
 
 
+def test_config_has_no_prefix_tokens_field():
+    # K is read from the "fixed:K" strategy, never given apart from it
+    with pytest.raises(TypeError, match="prefix_tokens"):
+        PipelineConfig(prefix_tokens=5)
+
+
+@pytest.mark.parametrize("argv, cls", [
+    (["release", "--in", "a", "--out", "b"], PipelineConfig),
+    (["diagnose", "--in", "a", "--out", "b"], PipelineConfig),
+    (["permute", "--in", "a", "--out", "b"], PipelineConfig),
+    (["simulate", "--out", "b"], SyntheticConfig),
+])
+def test_flags_are_config_fields_with_their_defaults(argv, cls):
+    parser = cli._build_parser()
+    args = parser.parse_args(argv)
+    # a flag whose dest is not a field would be dropped without a word
+    settings = set(vars(args)) - {"command", "handler", "batch", "input",
+                                  "output", "rollouts"}
+    assert settings <= {field.name for field in fields(cls)}
+    assert cli._config(parser, cls, args) == cls()
+
+
+@pytest.mark.parametrize("argv", [["release", "--strategy", "random"],
+                                  ["permute"]])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    src = write_objs(tmp_path / "in.jsonl", [planted_obj(i) for i in range(3)])
+    if argv[0] == "permute":
+        released = str(tmp_path / "released.jsonl")
+        process_batch(src, released)
+        src = released
+
+    def no_reading(path):
+        raise AssertionError("a record was read")
+
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--in", src, "--out", str(out), "--seed", "-1"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert "random_seed must be non-negative" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_single_record_reweight_rejects_random():
     record = parse_rollout_line(json.dumps(planted_obj()).encode())
     with pytest.raises(ValueError, match="batch-level"):
         dynamic_prefix_reweight(record,
-                                PipelineConfig(strategy="random_release"))
+                                PipelineConfig(strategy="random"))
 
 
 def test_single_record_reweight_bic():

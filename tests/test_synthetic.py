@@ -100,6 +100,8 @@ def test_generate_input_checks():
         generate_rollout([1.0], tokens_per_segment=2, support_size=1)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         generate_rollout([1.0], tokens_per_segment=2, seed=-1)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        generate_rollout([1.0], tokens_per_segment=2, index=-1)
 
 
 def test_piecewise_uses_config_profile():
