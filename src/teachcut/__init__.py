@@ -22,8 +22,8 @@ from .records import (DataProcessingError, RecordParseError,
                       RecordValidationError, RolloutRecord, TeachcutError,
                       TopKCandidates, parse_rollout_line, rollout_from_obj,
                       rollout_to_obj, sampled_advantage)
-from .reweight import (ReleaseAssignment, ReleaseResult, build_prefix_mask,
-                       permute_release_points, rescale_advantages)
+from .reweight import (ReleaseResult, build_prefix_mask, permute_release_points,
+                       rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores,
                            aggregate_segment_scores, segment_tokens)
 from .synthetic import (GroundTruth, SyntheticConfig, generate_piecewise_rollout,
@@ -43,7 +43,6 @@ __all__ = [
     "PipelineConfig",
     "RecordParseError",
     "RecordValidationError",
-    "ReleaseAssignment",
     "ReleaseResult",
     "ReleaseSummary",
     "RolloutRecord",

@@ -223,7 +223,12 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
     """Compare directional SNR with and without the released suffix.
 
     Release improves the SNR when m_P^2 / v_P >= (m_P + m_R)^2 / (v_P + v_R).
+    Every moment must be finite.
     """
+    for name, value in (("m_prefix", m_prefix), ("v_prefix", v_prefix),
+                        ("m_suffix", m_suffix), ("v_suffix", v_suffix)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if v_prefix <= 0.0:
         raise ValueError(f"v_prefix must be positive, got {v_prefix}")
     if v_suffix < 0.0:

@@ -5,7 +5,10 @@ a process pool when there is more than one chunk and more than one job;
 outputs are always written in input order, so results are bit-identical for
 any --jobs value. Release output echoes each input line verbatim and splices
 in a ``release`` object rather than re-encoding the record, which both
-preserves unknown fields and keeps the hot path cheap.
+preserves unknown fields and keeps the hot path cheap. Every strategy writes
+that object from one ReleaseResult; its ``decision``, a ChangeDecision,
+gives ``accepted``, ``release_segment`` and ``bic_gain`` (None for full and
+fixed:K, which run no test).
 
 Random release and permute read and parse the input once. Pass 1 checks
 each line on the pool and returns the record's decision as four scalars,
@@ -16,7 +19,8 @@ seven int64s (line number, line bytes, tokens, segments, segment token ids,
 release span, empty at the closing brace when there is no ``release`` key),
 the line, the sampled advantage and loss mask, and the segments' bounds and
 token ids. Pass 2 draws the permutation and rewrites the spill in order in
-the main process, without the pool.
+the main process, without the pool; each record's decision is its source's,
+imposed on the record's segments by _transferred_release.
 
 A per-line function takes the raw line and returns a value or raises a
 TeachcutError, which _run_lines turns into that line's error text; only the
@@ -53,9 +57,9 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _at_line, _check_output_file, _float_array,
                       decode_line, dumps_obj, iter_jsonl_lines,
                       parse_rollout_line, rollout_from_obj, sampled_advantage)
-from .reweight import (ReleaseAssignment, ReleaseResult, _release_sources,
-                       _retained_tokens, _transferred_release,
-                       build_prefix_mask, fixed_prefix_mask, rescale_advantages)
+from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
+                       _transferred_release, build_prefix_mask,
+                       fixed_prefix_mask, rescale_advantages)
 from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores,
                            segment_tokens)
 
@@ -68,14 +72,15 @@ def _prefix_tokens(strategy: str) -> int | None:
     """K of a "fixed:K" strategy, None for the others."""
     if strategy in ("bic", "full", "random"):
         return None
-    if not strategy.startswith("fixed:"):
+    if not isinstance(strategy, str) or not strategy.startswith("fixed:"):
         raise ValueError(f"unknown strategy {strategy!r} "
                          f"(expected {_STRATEGY_HELP})")
-    try:
-        k = int(strategy.removeprefix("fixed:"))
-    except ValueError:
+    digits = strategy.removeprefix("fixed:")
+    # int() would also take signs, spaces, underscores and non-ASCII digits
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid strategy {strategy!r}: "
-                         f"K must be an integer") from None
+                         f"K must be an integer in ASCII digits")
+    k = int(digits)
     if k < 1:
         raise ValueError(f"invalid strategy {strategy!r}: K must be at least 1")
     return k
@@ -189,7 +194,7 @@ def dynamic_prefix_reweight(record: RolloutRecord,
 
 def _reweight(advantages: np.ndarray, loss_mask: np.ndarray,
               prefix_mask: np.ndarray,
-              decision: ChangeDecision | None = None) -> ReleaseResult:
+              decision: ChangeDecision | None) -> ReleaseResult:
     # an overflow gives inf, for which _encode_release rejects the record
     with np.errstate(over="ignore"):
         rescaled, scale = rescale_advantages(advantages, loss_mask, prefix_mask)
@@ -201,13 +206,12 @@ _UNTESTED = ChangeDecision(release_segment=-1, accepted=False, bic_gain=0.0,
                            mu_pre=None, mu_post=None)
 
 
-def _encode_release(span: tuple[int, int],
-                    decision: ChangeDecision | ReleaseAssignment,
-                    result: ReleaseResult,
+def _encode_release(span: tuple[int, int], result: ReleaseResult,
                     ) -> tuple[tuple[tuple[int, int], bytes], bool]:
     """((span, the encoded release object), accepted), as _splice_release
     takes it. JSON has no form for inf or NaN, so a record whose reweighting
     overflows is rejected rather than written with a stand-in."""
+    decision = result.decision or _UNTESTED
     rescaled = result.rescaled_advantages
     finite = np.isfinite(rescaled)
     if not finite.all():
@@ -494,8 +498,7 @@ def _release_line(raw: bytes, config: PipelineConfig,
     obj = decode_line(raw)
     result = dynamic_prefix_reweight(rollout_from_obj(obj, probs=config.probs),
                                      config)
-    return _encode_release(_release_span(obj, raw),
-                           result.decision or _UNTESTED, result)
+    return _encode_release(_release_span(obj, raw), result)
 
 
 def process_batch(input_path: str, output_path: str,
@@ -581,16 +584,16 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
 
 
 def _transfer_line(raw: bytes, floats: np.ndarray, segments: SegmentIndex,
-                   span: tuple[int, int], source: int,
-                   decided: tuple[int, bool, int, float],
+                   span: tuple[int, int], decided: tuple[int, bool, int, float],
                    ) -> tuple[tuple[tuple[int, int], bytes], bool]:
     # pass 2: impose a source's decision on a spilled record; raw itself
     # is only echoed, by _write_release
     num_tokens = segments.num_tokens
-    assignment = _transferred_release(source, decided, segments)
+    decision = _transferred_release(decided, segments)
     result = _reweight(floats[:num_tokens], floats[num_tokens:],
-                       build_prefix_mask(segments, assignment, num_tokens))
-    return _encode_release(span, assignment, result)
+                       build_prefix_mask(segments, decision, num_tokens),
+                       decision)
+    return _encode_release(span, result)
 
 
 def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
@@ -607,7 +610,7 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
         segments = SegmentIndex._unchecked(ints[num_segments:],
                                            ints[:num_segments], num_tokens)
         yield line, _run_lines(line, _transfer_line, floats, segments,
-                               (start, end), source, decided[source])
+                               (start, end), decided[source])
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,

@@ -28,8 +28,7 @@ class ReleaseResult:
     decision: ChangeDecision | None
 
 
-def build_prefix_mask(segments: SegmentIndex,
-                      decision: ChangeDecision | ReleaseAssignment,
+def build_prefix_mask(segments: SegmentIndex, decision: ChangeDecision,
                       response_len: int) -> np.ndarray:
     """1.0 on the union of retained segments when accepted, else on every token.
 
@@ -73,22 +72,6 @@ def fixed_prefix_mask(response_len: int, prefix_tokens: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class ReleaseAssignment:
-    """One rollout's transferred release point after the batch permutation.
-
-    ``relative_position`` and ``accepted`` come from the source rollout;
-    ``release_segment`` is the snapped segment count on the target (the full
-    segment count when the source did not accept).
-    """
-
-    source_index: int
-    accepted: bool
-    bic_gain: float
-    relative_position: float
-    release_segment: int
-
-
 def _snap_release_segment(cum_target: np.ndarray, retained_src: int,
                           total_src: int, total_target: int) -> int:
     # smallest s >= 1 with cum_target[s-1] / total_target >= retained_src /
@@ -111,35 +94,33 @@ def _release_sources(size: int, seed: int) -> list[int]:
     return np.random.default_rng(seed).permutation(size).tolist()
 
 
-def _transferred_release(source: int, decided: tuple[int, bool, int, float],
-                         target: SegmentIndex) -> ReleaseAssignment:
+def _transferred_release(decided: tuple[int, bool, int, float],
+                         target: SegmentIndex) -> ChangeDecision:
     """A source's decision, given as (total tokens, accepted, retained
-    tokens, BIC gain), imposed on a target's segments."""
+    tokens, BIC gain), imposed on a target's segments; no means are fitted
+    on the target, so ``mu_pre`` and ``mu_post`` are None."""
     total, accepted, retained, gain = decided
     if accepted:
         segment = _snap_release_segment(target.bounds, retained, total,
                                         target.num_tokens)
     else:
         segment = len(target)
-    return ReleaseAssignment(source_index=source, accepted=bool(accepted),
-                             bic_gain=float(gain),
-                             relative_position=retained / total,
-                             release_segment=segment)
+    return ChangeDecision(segment, bool(accepted), float(gain), None, None)
 
 
 def permute_release_points(items: Sequence[tuple[SegmentIndex, ChangeDecision]],
-                           seed: int) -> list[ReleaseAssignment]:
+                           seed: int) -> list[ChangeDecision]:
     """Reassign release points across a batch by a seeded uniform permutation.
 
-    The multiset of (relative release position, accepted) pairs is preserved
-    exactly; each transferred position lands on the target's next segment
-    boundary at or after the equivalent token cutoff, never retaining zero
-    tokens. Rejected sources transfer as full supervision.
+    Each target gets its source's ``accepted`` and ``bic_gain``, with the
+    source's kept fraction of tokens snapped to the target's next segment
+    boundary at or after it, never retaining zero tokens; rejected sources
+    transfer as full supervision. ``mu_pre`` and ``mu_post`` are None.
     """
     if not items:
         raise ValueError("empty batch")
     decided = [(segments.num_tokens, decision.accepted,
                 _retained_tokens(segments, decision), decision.bic_gain)
                for segments, decision in items]
-    return [_transferred_release(source, decided[source], items[target][0])
+    return [_transferred_release(decided[source], items[target][0])
             for target, source in enumerate(_release_sources(len(items), seed))]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from teachcut import pipeline
 from teachcut.cli import main
 
 
@@ -15,6 +16,10 @@ def run(argv):
 def first_release(path):
     with open(path, "rb") as handle:
         return json.loads(handle.readline())["release"]
+
+
+def no_reading(path):
+    raise AssertionError("a record was read")
 
 
 def expect_usage_exit(argv):
@@ -65,12 +70,23 @@ def test_snr_stdout_format(capsys):
                                        "snr_full=2.0\n")
 
 
-def test_snr_rejects_bad_moments():
+def test_snr_rejects_bad_moments(capsys):
     expect_usage_exit(["snr", "--m-prefix", "1", "--v-prefix", "0",
                        "--m-suffix", "0", "--v-suffix", "1"])
+    # a NaN or infinite moment gives no verdict; the error names it
+    moments = ["--m-prefix", "--v-prefix", "--m-suffix", "--v-suffix"]
+    for flag in moments:
+        for bad in ("nan", "inf", "-inf"):
+            # the = form, since argparse reads a bare -inf as an option
+            expect_usage_exit(["snr", *(f"{other}={bad if other == flag else 1}"
+                                        for other in moments)])
+            err = capsys.readouterr().err
+            assert flag[2:].replace("-", "_") + " must be finite" in err
+    expect_usage_exit(["snr", "--m-prefix", "1", "--v-prefix", "inf",
+                       "--m-suffix", "0", "--v-suffix", "inf"])
 
 
-def test_fixed_strategy_forms(tmp_path, dataset):
+def test_fixed_strategy_forms(tmp_path, dataset, monkeypatch, capsys):
     out = str(tmp_path / "out.jsonl")
     assert run(["release", "--in", dataset, "--out", out,
                 "--strategy", "fixed:5"]) == 0
@@ -91,6 +107,14 @@ def test_fixed_strategy_forms(tmp_path, dataset):
                        "--strategy", "fixed:5", "--prefix-tokens", "4"])
     expect_usage_exit(["release", "--in", dataset, "--out", out,
                        "--strategy", "bic", "--prefix-tokens", "4"])
+    # K is ASCII digits, refused before any record is read or written
+    bad = tmp_path / "bad.jsonl"
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
+    for strategy in ("fixed: 7", "fixed:+7", "fixed:1_000", "fixed:\u0663"):
+        expect_usage_exit(["release", "--in", dataset, "--out", str(bad),
+                           "--strategy", strategy])
+        assert "K must be an integer in ASCII digits" in capsys.readouterr().err
+    assert not bad.exists()
 
 
 def test_unknown_strategy_exits_one(tmp_path, dataset, capsys):

@@ -1,6 +1,6 @@
-"""Each demo script runs to completion against the library API, and the
+"""Each demo script runs to completion against the library API, the
 benchmark harness imports what it needs from it and passes its own output
-checks on small inputs."""
+checks on small inputs, and README's Library section lists every export."""
 
 import os
 import subprocess
@@ -61,3 +61,12 @@ def test_benchmark_harness_smoke(tmp_path):
                 str(ROOT / "benchmarks"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "0"]  # wrong records per check
+
+
+def test_readme_library_section_lists_every_export():
+    import teachcut
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert f"(`teachcut.__all__`, {len(teachcut.__all__)} names)" in library
+    assert [name for name in teachcut.__all__
+            if f"`{name}`" not in library] == []

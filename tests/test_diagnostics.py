@@ -154,6 +154,13 @@ def test_snr_input_checks():
         snr_release_check(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="v_suffix"):
         snr_release_check(1.0, 1.0, 0.0, -0.5)
+    for position, name in enumerate(["m_prefix", "v_prefix", "m_suffix",
+                                     "v_suffix"]):
+        for bad in (math.nan, math.inf, -math.inf):
+            moments = [1.0] * 4
+            moments[position] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                snr_release_check(*moments)
     with pytest.raises(ValueError, match="m_prefix"):
         release_improves_by_moments(0.0, 1.0, 0.5, 1.0)
 

@@ -682,9 +682,7 @@ def _expected_transfer(src, decisions, seed):
         [(seg, decision) for _, _, _, seg, decision in kept], seed)
     expected = {}
     for (number, obj, record, seg, _), moved in zip(kept, assignments):
-        decision = ChangeDecision(moved.release_segment, moved.accepted,
-                                  moved.bic_gain, None, None)
-        mask = build_prefix_mask(seg, decision, record.num_tokens)
+        mask = build_prefix_mask(seg, moved, record.num_tokens)
         rescaled, scale = rescale_advantages(sampled_advantage(record),
                                              record.loss_mask, mask)
         obj["release"] = {"accepted": moved.accepted,
@@ -966,6 +964,12 @@ def test_output_path_must_differ(tmp_path):
     (dict(strategy="bic_release"), "unknown strategy"),
     (dict(strategy="fixed_prefix"), "unknown strategy"),
     (dict(random_seed=-1), "random_seed must be non-negative"),
+    # K is ASCII digits only, though int() takes each of these
+    (dict(strategy="fixed: 7"), "K must be an integer in ASCII digits"),
+    (dict(strategy="fixed:+7"), "K must be an integer in ASCII digits"),
+    (dict(strategy="fixed:1_000"), "K must be an integer in ASCII digits"),
+    (dict(strategy="fixed:\u0663"), "K must be an integer in ASCII digits"),
+    (dict(strategy=3), "unknown strategy 3"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachcut.changepoint import ChangeDecision
-from teachcut.reweight import (_snap_release_segment, build_prefix_mask,
-                               fixed_prefix_mask, permute_release_points,
-                               rescale_advantages)
+from teachcut.reweight import (_release_sources, _snap_release_segment,
+                               build_prefix_mask, fixed_prefix_mask,
+                               permute_release_points, rescale_advantages)
 from teachcut.segmentation import SegmentIndex
 
 
@@ -121,11 +121,20 @@ def test_permute_homogeneous_batch_preserves_positions_exactly():
     before = sorted((d.release_segment if d.accepted else 4) for _, d in items)
     after = sorted(a.release_segment for a in assignments)
     assert before == after
-    rel_before = sorted(
-        (seg.bounds[d.release_segment - 1] / 8
-         if d.accepted else 1.0) for _, d in items)
-    rel_after = sorted(a.relative_position for a in assignments)
+
+    def kept(d):
+        return seg.bounds[d.release_segment - 1] / 8 if d.accepted else 1.0
+
+    # every target shares seg, so each keeps exactly its source's fraction
+    rel_before = sorted(kept(d) for _, d in items)
+    rel_after = sorted(seg.bounds[a.release_segment - 1] / 8
+                       for a in assignments)
     assert rel_before == rel_after
+    sources = _release_sources(len(items), 5)
+    assert sources != list(range(len(items)))
+    for a, s in zip(assignments, sources):
+        assert seg.bounds[a.release_segment - 1] / 8 == kept(items[s][1])
+        assert a.accepted == items[s][1].accepted
 
 
 def test_permute_is_seed_deterministic_and_seed_sensitive():
@@ -134,20 +143,31 @@ def test_permute_is_seed_deterministic_and_seed_sensitive():
     a = permute_release_points(items, seed=11)
     b = permute_release_points(items, seed=11)
     assert a == b
-    seen = {tuple(x.source_index for x in permute_release_points(items, seed=s))
-            for s in range(8)}
+    seen = set()
+    for seed in range(8):
+        # one layout and four distinct decisions: each target's segment is
+        # its source's
+        got = tuple(x.release_segment
+                    for x in permute_release_points(items, seed=seed))
+        assert got == tuple(items[s][1].release_segment
+                            for s in _release_sources(len(items), seed))
+        seen.add(got)
     assert len(seen) > 1
 
 
 def test_permute_rejected_source_transfers_full_supervision():
     items = [(index([2, 2]), decision(2, accepted=False)),
              (index([1, 1, 1, 1]), decision(1))]
-    assignments = permute_release_points(items, seed=0)
-    for a in assignments:
-        if not a.accepted:
-            assert a.relative_position == 1.0
-            target_index = assignments.index(a)
-            assert a.release_segment == len(items[target_index][0])
+    swapped = False
+    for seed in range(6):
+        assignments = permute_release_points(items, seed=seed)
+        sources = _release_sources(len(items), seed)
+        swapped |= sources != [0, 1]
+        for t, s in enumerate(sources):
+            if not items[s][1].accepted:
+                assert not assignments[t].accepted
+                assert assignments[t].release_segment == len(items[t][0])
+    assert swapped
 
 
 def test_permute_empty_batch_rejected():
@@ -159,7 +179,12 @@ def test_permute_carries_source_gains():
     seg = index([1, 1])
     items = [(seg, ChangeDecision(1, True, 12.5, 1.0, 0.0)),
              (seg, ChangeDecision(1, True, 7.25, 1.0, 0.0))]
-    assignments = permute_release_points(items, seed=2)
-    assert sorted(a.bic_gain for a in assignments) == [7.25, 12.5]
-    for a in assignments:
-        assert a.bic_gain == items[a.source_index][1].bic_gain
+    swapped = False
+    for seed in range(6):
+        assignments = permute_release_points(items, seed=seed)
+        assert sorted(a.bic_gain for a in assignments) == [7.25, 12.5]
+        sources = _release_sources(len(items), seed)
+        swapped |= sources != [0, 1]
+        for t, s in enumerate(sources):
+            assert assignments[t].bic_gain == items[s][1].bic_gain
+    assert swapped
