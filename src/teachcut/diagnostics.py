@@ -14,6 +14,7 @@ import math
 import statistics
 import warnings
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -222,8 +223,9 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
                       v_suffix: float) -> SnrReport:
     """Compare directional SNR with and without the released suffix.
 
-    Release improves the SNR when m_P^2 / v_P >= (m_P + m_R)^2 / (v_P + v_R).
-    Every moment must be finite.
+    Release improves the SNR when m_P^2 / v_P >= (m_P + m_R)^2 / (v_P + v_R),
+    decided exactly in the cross-multiplied form, so it holds even where the
+    reported SNRs overflow or round. Every moment must be finite.
     """
     for name, value in (("m_prefix", m_prefix), ("v_prefix", v_prefix),
                         ("m_suffix", m_suffix), ("v_suffix", v_suffix)):
@@ -236,10 +238,12 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
     snr_release = m_prefix * m_prefix / v_prefix
     total = m_prefix + m_suffix
     snr_full = total * total / (v_prefix + v_suffix)
+    m_p, v_p, m_r, v_r = (Fraction(float(value)) for value in
+                          (m_prefix, v_prefix, m_suffix, v_suffix))
+    improves = m_p * m_p * (v_p + v_r) >= (m_p + m_r) ** 2 * v_p
     return SnrReport(m_prefix=m_prefix, v_prefix=v_prefix, m_suffix=m_suffix,
                      v_suffix=v_suffix, snr_full=snr_full,
-                     snr_release=snr_release,
-                     release_improves=snr_release >= snr_full)
+                     snr_release=snr_release, release_improves=improves)
 
 
 # ----------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import TopKCandidates
+from .records import TopKCandidates, _check_int
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,14 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
     (the student's most probable ones). A row shorter than ``support_size``
     uses all of its candidates, and a warning says when some row is.
     """
+    _check_int("support_size", support_size)
     if support_size < 2:
         raise ValueError(f"support_size must be at least 2, got {support_size}")
     if candidates.num_positions == 0:
         return MarginSeries(np.empty(0))
 
     lengths = candidates.row_lengths()
-    min_len = int(lengths.min())
+    min_len, max_len = int(lengths.min()), int(lengths.max())
     if min_len < 2:
         pos = int(np.argmax(lengths < 2))
         raise ValueError(
@@ -46,6 +47,13 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
             f"available at some positions; clamping", RuntimeWarning,
             stacklevel=2)
 
-    # a short row's -inf padding sorts before all of its real candidates
-    top = np.sort(candidates.teacher_logp[:, :support_size], axis=1)
+    width = min(support_size, max_len)
+    if min_len == max_len:  # every row is as wide as the widest: a view
+        support = candidates.teacher_logp.reshape(-1, max_len)[:, :width]
+    else:  # a gather; -inf past a row's end sorts before its candidates
+        cols = np.arange(width)
+        flat_index = (np.cumsum(lengths) - lengths)[:, None] + cols
+        gathered = candidates.teacher_logp.take(flat_index, mode="clip")
+        support = np.where(cols < lengths[:, None], gathered, -np.inf)
+    top = np.sort(support, axis=1)
     return MarginSeries(top[:, -1] - top[:, -2])

@@ -40,7 +40,6 @@ import stat
 import struct
 import tempfile
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
@@ -54,8 +53,8 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
                           _summary_row, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
-                      TeachcutError, _at_line, _check_output_file, _float_array,
-                      decode_line, dumps_obj, iter_jsonl_lines,
+                      TeachcutError, _at_line, _check_int, _check_output_file,
+                      _float_array, decode_line, dumps_obj, iter_jsonl_lines,
                       parse_rollout_line, rollout_from_obj, sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
                        _transferred_release, build_prefix_mask,
@@ -111,6 +110,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _prefix_tokens(self.strategy)  # raises for an unknown strategy
+        for name in ("support_size", "num_bins", "random_seed"):
+            _check_int(name, getattr(self, name))
+        if self.jobs is not None:
+            _check_int("jobs", self.jobs)
         if self.segments_source not in ("record", "builtin"):
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")
@@ -360,6 +363,8 @@ def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
         for chunk in chain(head, chunks):
             yield chunk, worker(chunk)
         return
+    # imported here: a run that starts no pool loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
         pending: deque = deque()
         try:

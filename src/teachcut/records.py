@@ -82,15 +82,22 @@ class DataProcessingError(TeachcutError):
             f"strict mode: aborting at {_at_line(line_number, message)}")
 
 
+def _check_int(name: str, value: Any) -> None:
+    """Raise ValueError naming ``name`` unless value is an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TopKCandidates:
-    """Per-position candidate sets as (T, Kmax) matrices, one row per position.
+    """Per-position candidate sets held flat, in position order.
 
-    Row t holds the student's top ``lengths[t]`` candidates at position t,
-    ordered by descending student probability, then padding up to Kmax:
-    ``-inf`` in both log-prob matrices, a value no valid candidate takes, and
-    an arbitrary id. When every row is full the matrices are plain reshapes
-    of the concatenated rows.
+    ``ids`` (int64), ``student_logp`` and ``teacher_logp`` (float64) hold
+    the concatenated rows, and ``lengths`` (int64) one candidate count per
+    position, so row t is the ``lengths[t]`` entries after the first
+    ``lengths[:t].sum()``: the student's top candidates at position t,
+    ordered by descending student probability. Memory is linear in the
+    candidates, however unequal the rows.
     """
 
     ids: np.ndarray
@@ -104,23 +111,6 @@ class TopKCandidates:
 
     def row_lengths(self) -> np.ndarray:
         return self.lengths
-
-    @classmethod
-    def from_flat(cls, ids: np.ndarray, student_logp: np.ndarray,
-                  teacher_logp: np.ndarray, lengths: np.ndarray) -> "TopKCandidates":
-        """Pad the concatenated rows (int64 ids, float64 log-probs) of the
-        given lengths to (T, max length)."""
-        width = int(lengths.max()) if lengths.size else 0
-        shape = (lengths.size, width)
-        if ids.size == lengths.size * width:
-            return cls(ids.reshape(shape), student_logp.reshape(shape),
-                       teacher_logp.reshape(shape), lengths)
-        real = np.arange(width) < lengths[:, None]
-        padded = [np.zeros(shape, dtype=np.int64), np.full(shape, -np.inf),
-                  np.full(shape, -np.inf)]
-        for out, flat in zip(padded, (ids, student_logp, teacher_logp)):
-            out[real] = flat
-        return cls(*padded, lengths)
 
 
 class SegmentIndex:
@@ -318,37 +308,39 @@ def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool) -> TopKCandida
         raise RecordValidationError("fewer than 2 candidates",
                                     field="topk.ids", position=shortest)
 
-    # checked flat, before padding: a padded -inf is neither converted nor
-    # taken for a bad log-prob
     if probs:
         student = np.log(np.maximum(student, PROB_FLOOR))
         teacher = np.log(np.maximum(teacher, PROB_FLOOR))
     _check_logp(student, "topk.student_logp")
     _check_logp(teacher, "topk.teacher_logp")
-
-    candidates = TopKCandidates.from_flat(ids, student, teacher, lengths)
-    _check_student_order(candidates)
-    return candidates
+    _check_student_order(ids, student, lengths)
+    return TopKCandidates(ids, student, teacher, lengths)
 
 
-def _check_student_order(candidates: TopKCandidates) -> None:
+def _check_student_order(ids: np.ndarray, student: np.ndarray,
+                         lengths: np.ndarray) -> None:
     # top-K ordering: student_logp non-increasing, exact ties by ascending id.
-    # A pair with a padding entry diffs to -inf or NaN, neither a rise nor a tie.
-    with np.errstate(invalid="ignore"):
-        diff = np.diff(candidates.student_logp, axis=1)
+    # Checked on the flat rows: the diff of each pair that crosses a row
+    # boundary is set to -inf, neither a rise nor a tie. Every row holds at
+    # least 2 candidates, so those pairs are distinct.
+    ends = np.cumsum(lengths)
+    diff = np.diff(student)
+    diff[ends[:-1] - 1] = -np.inf
     rise = diff > 0.0
     if rise.any():
         raise RecordValidationError("not sorted by descending student log-prob",
                                     field="topk.student_logp",
-                                    position=_first_true(rise.any(axis=1)))
-    tie = diff == 0.0
-    if tie.any():
-        ids = candidates.ids
-        bad = tie & (ids[:, 1:] <= ids[:, :-1])
-        if bad.any():
-            raise RecordValidationError(
-                "tied student log-probs must order by ascending candidate id",
-                field="topk.ids", position=_first_true(bad.any(axis=1)))
+                                    position=_row_of(ends, rise))
+    bad = (diff == 0.0) & (ids[1:] <= ids[:-1])
+    if bad.any():
+        raise RecordValidationError(
+            "tied student log-probs must order by ascending candidate id",
+            field="topk.ids", position=_row_of(ends, bad))
+
+
+def _row_of(ends: np.ndarray, pairs: np.ndarray) -> int:
+    """The row holding the first flagged pair of a flat diff."""
+    return int(np.searchsorted(ends, _first_true(pairs), side="right"))
 
 
 def _segments_from_obj(raw: Any, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:
@@ -485,12 +477,13 @@ def rollout_to_obj(record: RolloutRecord) -> dict[str, Any]:
     }
     cand = record.candidates
     if cand is not None:
-        lengths = cand.lengths.tolist()
+        ends = np.cumsum(cand.lengths).tolist()
+        starts = [0, *ends[:-1]]
         obj["topk"] = {
-            key: [row[:n] for row, n in zip(matrix.tolist(), lengths)]
-            for key, matrix in (("ids", cand.ids),
-                                ("student_logp", cand.student_logp),
-                                ("teacher_logp", cand.teacher_logp))}
+            key: [flat[lo:hi] for lo, hi in zip(starts, ends)]
+            for key, flat in (("ids", cand.ids.tolist()),
+                              ("student_logp", cand.student_logp.tolist()),
+                              ("teacher_logp", cand.teacher_logp.tolist()))}
     if record.segments is not None:
         obj["segments"] = [seg.tolist() for seg in record.segments]
     return obj

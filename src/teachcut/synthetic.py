@@ -111,16 +111,14 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
     margins = margins + noise_std * rng.standard_normal(num_tokens)
     np.maximum(margins, 0.0, out=margins)
 
-    teacher = np.empty((num_tokens, k))
-    teacher[:, 0] = 0.0
+    teacher = np.zeros((num_tokens, k))
     # runner-up sits m_t below the top; the rest fall away in unit steps
     teacher[:, 1:] = (-margins)[:, None] - np.arange(k - 1, dtype=np.float64)
-    student_row = -0.5 * np.arange(1, k + 1, dtype=np.float64)
-
     candidates = TopKCandidates(
-        ids=np.tile(np.arange(k, dtype=np.int64), (num_tokens, 1)),
-        student_logp=np.tile(student_row, (num_tokens, 1)),
-        teacher_logp=teacher,
+        ids=np.tile(np.arange(k, dtype=np.int64), num_tokens),
+        student_logp=np.tile(-0.5 * np.arange(1, k + 1, dtype=np.float64),
+                             num_tokens),
+        teacher_logp=teacher.ravel(),
         lengths=np.full(num_tokens, k, dtype=np.int64),
     )
     tokens = (["tok"] * (tokens_per_segment - 1) + ["end."]) * num_segments

@@ -27,6 +27,25 @@ def valid_obj(num_tokens=4, num_candidates=3):
     }
 
 
+def reshaped_topk(obj, widths):
+    """A copy of obj with top-K row t cut or extended to widths[t]
+    candidates. Added candidates rank below the row's existing ones for
+    both models, so they leave a support of the row's first candidates, and
+    its margin, as they were."""
+    obj = json.loads(json.dumps(obj))
+    topk = obj["topk"]
+    for t, width in widths.items():
+        ids, student, teacher = (topk[key][t] for key in
+                                 ("ids", "student_logp", "teacher_logp"))
+        extra = range(len(ids), width)
+        ids += [max(ids) + 1 + j for j in extra]
+        student += [min(student) - 0.5 * (j + 1) for j in extra]
+        teacher += [min(teacher) - 0.5 * (j + 1) for j in extra]
+        for row in (ids, student, teacher):
+            del row[width:]
+    return obj
+
+
 def to_line(obj):
     return json.dumps(obj).encode()
 
@@ -43,6 +62,6 @@ def candidates_from_rows(ids_rows, student_rows, teacher_rows):
     def flat(rows, dtype):
         return np.array([v for row in rows for v in row], dtype=dtype)
     lengths = np.array([len(row) for row in ids_rows], dtype=np.int64)
-    return TopKCandidates.from_flat(flat(ids_rows, np.int64),
-                                    flat(student_rows, np.float64),
-                                    flat(teacher_rows, np.float64), lengths)
+    return TopKCandidates(flat(ids_rows, np.int64),
+                          flat(student_rows, np.float64),
+                          flat(teacher_rows, np.float64), lengths)

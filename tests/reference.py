@@ -1,7 +1,8 @@
 """Test-only references, kept out of the package: the profiled BIC formula,
 planted segment-score sequences and the naive change-point oracle that the
 production detector is cross-validated against, and the moment-inequality
-form of the SNR condition that snr_release_check is checked against."""
+form of the SNR condition that snr_release_check is checked against, and a
+row-at-a-time top-K order check for the parser's flat one."""
 
 from __future__ import annotations
 
@@ -94,3 +95,19 @@ def release_improves_by_moments(m_prefix: float, v_prefix: float,
         raise ValueError(f"v_prefix must be positive, got {v_prefix}")
     ratio = m_suffix / m_prefix
     return v_suffix / v_prefix >= 2.0 * ratio + ratio * ratio
+
+
+def student_order_error(ids_rows: Sequence[Sequence[int]],
+                        student_rows: Sequence[Sequence[float]],
+                        ) -> tuple[str, int] | None:
+    """(field, position) of the first top-K order violation, one row at a
+    time, or None: first any row whose student log-probs rise, then any row
+    with an exact tie whose ids do not ascend. Pairs never cross rows."""
+    for t, row in enumerate(student_rows):
+        if any(b > a for a, b in zip(row, row[1:])):
+            return "topk.student_logp", t
+    for t, (ids, row) in enumerate(zip(ids_rows, student_rows)):
+        pairs = zip(zip(ids, row), zip(ids[1:], row[1:]))
+        if any(b == a and j <= i for (i, a), (j, b) in pairs):
+            return "topk.ids", t
+    return None

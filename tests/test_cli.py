@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,3 +280,30 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("release", "diagnose", "permute", "simulate", "snr"):
         assert name in out
+
+
+_POOL_MODULES = """
+import sys
+import teachcut.cli
+def pool_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] in ("concurrent", "multiprocessing"))
+print(pool_modules())
+teachcut.cli.main(["release", "--in", sys.argv[1], "--out", sys.argv[2],
+                   "--jobs", "2"])
+print(pool_modules())
+"""
+
+
+def test_a_run_without_a_pool_loads_no_pool_modules(tmp_path, dataset):
+    # four records are one chunk, which runs in-process even at --jobs 2
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(pipeline.__file__)),
+        env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES, dataset,
+         str(tmp_path / "out.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"

@@ -148,6 +148,12 @@ def test_snr_frozen_cases():
     # zero-suffix boundary: equality counts as improvement
     assert snr_release_check(2.0, 3.0, 0.0, 0.0).release_improves
 
+    # both SNRs overflow to inf; the exact comparison still decides:
+    # 1e400 * 2 < 4e400 * 1
+    report = snr_release_check(1e200, 1.0, 1e200, 1.0)
+    assert report.snr_release == report.snr_full == math.inf
+    assert not report.release_improves
+
 
 def test_snr_input_checks():
     with pytest.raises(ValueError, match="v_prefix"):

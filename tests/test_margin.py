@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachcut.margin import teacher_top2_margin
+from teachcut.records import parse_rollout_line, rollout_to_obj
+from teachcut.synthetic import generate_rollout
 
-from helpers import candidates_from_rows
+from helpers import candidates_from_rows, reshaped_topk, to_line
 
 
 def build(teacher_rows, ids_rows=None):
@@ -61,6 +65,14 @@ def test_support_size_below_two_rejected():
     cands = build([[-0.1, -0.9]])
     with pytest.raises(ValueError, match="at least 2"):
         teacher_top2_margin(cands, support_size=1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_support_size_must_be_an_int(bad):
+    # a float would take ceil(bad) columns of the gather silently
+    cands = build([[-0.1, -0.9, -1.0], [-0.1, -0.9]])
+    with pytest.raises(ValueError, match="support_size must be an integer"):
+        teacher_top2_margin(cands, support_size=bad)
 
 
 def test_single_candidate_position_rejected():
@@ -126,3 +138,21 @@ def test_margin_matches_naive_per_position(data):
         ranked = sorted(range(width), key=lambda j: (-row[j], j))
         expected = row[ranked[0]] - row[ranked[1]]
         assert series.values[t] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("width", [5000, 20000])
+def test_a_wide_row_costs_memory_linear_in_the_candidates(width):
+    # a 1,000-token record whose row 0 holds `width` candidates: rows
+    # padded to the widest took 171 MB (5,000) and 683 MB (20,000)
+    record, _ = generate_rollout(np.ones(100), tokens_per_segment=10)
+    line = to_line(reshaped_topk(rollout_to_obj(record), {0: width}))
+    tracemalloc.start()
+    try:
+        parsed = parse_rollout_line(line)
+        margins = teacher_top2_margin(parsed.candidates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.candidates.ids.size == 999 * 4 + width
+    np.testing.assert_array_equal(margins.values, 1.0)
+    assert peak < 8_000_000

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import logging
@@ -30,7 +31,7 @@ from teachcut.reweight import (build_prefix_mask, permute_release_points,
 from teachcut.segmentation import SegmentIndex, segment_tokens
 from teachcut.synthetic import SyntheticConfig, generate_piecewise_rollout
 
-from helpers import to_line, valid_obj
+from helpers import reshaped_topk, to_line, valid_obj
 
 # planted construction used throughout: 6 segments x 10 tokens, drop at 3
 PLANTED = SyntheticConfig(num_segments=6, tokens_per_segment=10, true_tau=3,
@@ -43,6 +44,12 @@ def planted_obj(index=0, noise=0.0, seed=0):
                              post_margin_mean=0.0, noise_std=noise, seed=seed)
     record, _ = generate_piecewise_rollout(config, index)
     return rollout_to_obj(record)
+
+
+def ragged_obj(index):
+    """A planted record with top-K rows of 2 to 64 candidates."""
+    return reshaped_topk(planted_obj(index, noise=0.5, seed=2),
+                         {1: 6, 5: 2, 7: 9, 40: 3, 59: 64})
 
 
 def write_lines(path, lines):
@@ -216,12 +223,12 @@ def count_pools(monkeypatch):
     """The keyword arguments of each ProcessPoolExecutor the pipeline starts."""
     pools = []
 
-    class CountedPool(pipeline.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return pools
 
 
@@ -321,7 +328,7 @@ def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
     src = write_objs(tmp_path / "in.jsonl", [planted_obj(i) for i in range(2)])
     inline = str(tmp_path / "inline.jsonl")
@@ -551,8 +558,10 @@ def test_release_is_spliced_into_the_stripped_line(tmp_path, layout, command):
     # every output line is its input line stripped, with only the release
     # value replaced, or with ',"release":' and the value put before the
     # closing brace when the line has none; the value is dumps_obj of the
-    # release object the line decodes to
+    # release object the line decodes to. Uniform, ragged and wide top-K
+    # rows alike.
     objs = [planted_obj(i, noise=0.5, seed=2) for i in range(4)]
+    objs += [ragged_obj(4), reshaped_topk(planted_obj(5), {0: 5000})]
     released = str(tmp_path / "released.jsonl")
     process_batch(write_objs(tmp_path / "plain.jsonl", objs), released,
                   PipelineConfig(jobs=1))
@@ -575,6 +584,30 @@ def test_release_is_spliced_into_the_stripped_line(tmp_path, layout, command):
         if not value:
             new = b',"release":' + new
         assert line == (before + new + after).strip()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_rows_past_the_support_leave_every_writer_unchanged(tmp_path, command):
+    # the support of 4 is a gather from ragged rows and a view of uniform
+    # ones; rows widened past it, row 0 to 5,000 candidates, give every
+    # writer the release of the rows cut to it, short rows kept
+    cut = [reshaped_topk(ragged_obj(i), {1: 4, 7: 4, 59: 4}) for i in range(2)]
+    cut += [planted_obj(i, noise=0.5, seed=2) for i in (2, 3)]
+    wide = [ragged_obj(0), ragged_obj(1),
+            reshaped_topk(cut[2], {0: 5000}), reshaped_topk(cut[3], {2: 7})]
+    run, options = _COMMANDS[command]
+    releases = []
+    for name, objs in (("cut", cut), ("wide", wide)):
+        src = write_objs(tmp_path / f"{name}.jsonl", objs)
+        if command == "permute":
+            src = str(tmp_path / f"{name}.released.jsonl")
+            process_batch(write_objs(tmp_path / f"{name}.plain.jsonl", objs),
+                          src, PipelineConfig(jobs=1))
+        out = str(tmp_path / f"{name}.out.jsonl")
+        report = run(src, out, PipelineConfig(jobs=1, **options))
+        assert (report.num_records, report.num_errors) == (4, 0)
+        releases.append([obj["release"] for obj in read_objs(out)])
+    assert releases[0] == releases[1]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -898,7 +931,7 @@ def test_probs_mode_matches_logp_mode(tmp_path):
     assert prob_release["prefix_mask"] == log_release["prefix_mask"]
     assert prob_release["bic_gain"] == pytest.approx(log_release["bic_gain"],
                                                      rel=1e-6)
-    # the short rows' padding stays -inf: it is not a floored probability
+    # the converted rows, short ones included, equal the log-prob rows
     log_cands = parse_rollout_line(to_line(obj)).candidates
     prob_cands = parse_rollout_line(to_line(prob_obj), probs=True).candidates
     np.testing.assert_allclose(prob_cands.teacher_logp, log_cands.teacher_logp,
@@ -974,6 +1007,16 @@ def test_output_path_must_differ(tmp_path):
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["support_size", "num_bins", "jobs",
+                                   "random_seed"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+def test_config_integer_fields_take_only_int(field, bad):
+    # refused when the config is built, not taken silently (num_bins, jobs)
+    # or left to fail mid-batch (random_seed, support_size)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        PipelineConfig(**{field: bad})
 
 
 def test_config_has_no_prefix_tokens_field():

@@ -1,5 +1,4 @@
 import json
-import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,6 +14,7 @@ from teachcut.records import (PROB_FLOOR, DataProcessingError,
                               rollout_to_obj, sampled_advantage)
 
 from helpers import valid_obj, to_line
+from reference import student_order_error
 
 
 def test_parse_valid_record():
@@ -173,10 +173,14 @@ def test_topk_ragged_rows_accepted():
         obj["topk"][key][1] = obj["topk"][key][1][:2]
     record = parse_rollout_line(to_line(obj))
     np.testing.assert_array_equal(record.candidates.row_lengths(), [3, 2, 3, 3])
-    # the short row is padded with -inf to the widest row
-    assert record.candidates.teacher_logp.shape == (4, 3)
-    assert record.candidates.student_logp[1, 2] == -math.inf
-    assert record.candidates.teacher_logp[1, 2] == -math.inf
+    # the rows are held flat, concatenated in position order, unpadded
+    topk = obj["topk"]
+    for key, dtype in (("ids", np.int64), ("student_logp", np.float64),
+                       ("teacher_logp", np.float64)):
+        flat = getattr(record.candidates, key)
+        assert flat.dtype == dtype
+        np.testing.assert_array_equal(flat, sum(topk[key], []))
+    assert record.candidates.teacher_logp.shape == (11,)
 
 
 def test_topk_row_count_mismatch():
@@ -256,6 +260,52 @@ def test_student_order_enforced_on_ragged_rows():
     assert (info.value.field, info.value.position) == ("topk.ids", 0)
 
 
+@st.composite
+def ragged_topk_rows(draw):
+    """Rows of 2-64 candidates in valid order, with rises, ties and ties
+    whose ids descend or repeat put at row starts and ends. Each row's ids
+    start afresh, so equal values meet across row boundaries with
+    descending ids."""
+    ids_rows, student_rows = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(2, 64))
+        row = sorted(draw(st.lists(st.sampled_from([-1.0, -2.0, -3.0]),
+                                   min_size=length, max_size=length)),
+                     reverse=True)
+        ids = sorted(draw(st.lists(st.integers(0, 199), min_size=length,
+                                   max_size=length, unique=True)))
+        for lo, hi in ((0, 1), (length - 2, length - 1)):
+            flaw = draw(st.sampled_from(["none", "none", "rise", "tie",
+                                         "swapped tie", "repeated id"]))
+            if flaw == "rise":
+                row[hi] = row[lo] + 0.5
+            elif flaw != "none":
+                row[hi] = row[lo]
+            if flaw == "swapped tie":
+                ids[lo], ids[hi] = ids[hi], ids[lo]
+            elif flaw == "repeated id":
+                ids[hi] = ids[lo]
+        ids_rows.append(ids)
+        student_rows.append(row)
+    return ids_rows, student_rows
+
+
+@settings(max_examples=300)
+@given(ragged_topk_rows())
+def test_flat_order_check_matches_per_row_reference(rows):
+    ids_rows, student_rows = rows
+    obj = valid_obj(num_tokens=len(ids_rows))
+    obj["topk"] = {"ids": ids_rows, "student_logp": student_rows,
+                   "teacher_logp": [[-1.0] * len(row) for row in ids_rows]}
+    expected = student_order_error(ids_rows, student_rows)
+    try:
+        parse_rollout_line(to_line(obj))
+    except RecordValidationError as exc:
+        assert (exc.field, exc.position) == expected
+    else:
+        assert expected is None
+
+
 def test_segments_validation():
     obj = valid_obj()
     obj["segments"] = [[0, 1], [1, 2]]
@@ -299,9 +349,11 @@ def test_probs_mode_converts_topk_only():
     obj["topk"]["student_logp"] = [[0.5, 0.25], [0.5, 0.25]]
     obj["topk"]["teacher_logp"] = [[0.8, 0.0], [0.8, 0.1]]
     record = parse_rollout_line(to_line(obj), probs=True)
-    assert record.candidates.student_logp[0, 0] == pytest.approx(math.log(0.5))
+    np.testing.assert_allclose(record.candidates.student_logp,
+                               np.log([0.5, 0.25, 0.5, 0.25]))
     # zero probability floors instead of -inf
-    assert record.candidates.teacher_logp[0, 1] == pytest.approx(math.log(PROB_FLOOR))
+    np.testing.assert_allclose(record.candidates.teacher_logp,
+                               np.log([0.8, PROB_FLOOR, 0.8, 0.1]))
     # sampled arrays stay untouched
     np.testing.assert_array_equal(record.sampled_teacher_logp, [-0.2, -0.2])
 
