@@ -42,11 +42,6 @@ def _or_usage(parser: argparse.ArgumentParser, call, *args, **kwargs):
         parser.error(str(exc))
 
 
-def _require_input(parser: argparse.ArgumentParser, path: str) -> None:
-    if not os.path.isfile(path):
-        parser.error(f"input file not found: {path}")
-
-
 def _config(parser: argparse.ArgumentParser, cls, args: argparse.Namespace):
     """cls built from the parsed flags whose dest is one of its fields."""
     names = {field.name for field in dataclasses.fields(cls)}
@@ -82,7 +77,6 @@ def _report_line(verb: str, report) -> str:
 
 def _cmd_rewrite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # release and permute: one JSONL output, rewritten from the input
-    _require_input(parser, args.input)
     _or_usage(parser, _check_paths, args.input, args.output)
     report = args.batch(args.input, args.output,
                         _config(parser, PipelineConfig, args))
@@ -91,8 +85,7 @@ def _cmd_rewrite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_input(parser, args.input)
-    _or_usage(parser, _check_out_dir, args.output)
+    _or_usage(parser, _check_out_dir, args.input, args.output)
     result = diagnose_batch(args.input, args.output,
                             _config(parser, PipelineConfig, args))
     print(_report_line("diagnose", result.report), file=sys.stderr)

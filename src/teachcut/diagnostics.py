@@ -20,6 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .changepoint import ChangeDecision
+from .records import _check_int
 from .reweight import _retained_tokens
 from .segmentation import SegmentIndex, SegmentScores
 
@@ -31,8 +32,7 @@ class BinAccumulator:
     """
 
     def __init__(self, num_bins: int) -> None:
-        if num_bins < 1:
-            raise ValueError(f"num_bins must be at least 1, got {num_bins}")
+        _check_int("num_bins", num_bins, 1)
         self.num_bins = num_bins
         self.counts = np.zeros(num_bins, dtype=np.int64)
         self.sums = np.zeros(num_bins)

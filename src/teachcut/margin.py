@@ -28,13 +28,11 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
     (the student's most probable ones). A row shorter than ``support_size``
     uses all of its candidates, and a warning says when some row is.
     """
-    _check_int("support_size", support_size)
-    if support_size < 2:
-        raise ValueError(f"support_size must be at least 2, got {support_size}")
-    if candidates.num_positions == 0:
+    _check_int("support_size", support_size, 2)
+    lengths = candidates.lengths
+    if lengths.size == 0:
         return MarginSeries(np.empty(0))
 
-    lengths = candidates.row_lengths()
     min_len, max_len = int(lengths.min()), int(lengths.max())
     if min_len < 2:
         pos = int(np.argmax(lengths < 2))

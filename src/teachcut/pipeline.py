@@ -38,6 +38,7 @@ import os
 import re
 import stat
 import struct
+import sys
 import tempfile
 from collections import deque
 from dataclasses import dataclass
@@ -110,23 +111,16 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         _prefix_tokens(self.strategy)  # raises for an unknown strategy
-        for name in ("support_size", "num_bins", "random_seed"):
-            _check_int(name, getattr(self, name))
+        for name, least in (("support_size", 2), ("num_bins", 1),
+                            ("random_seed", 0)):
+            _check_int(name, getattr(self, name), least)
         if self.jobs is not None:
-            _check_int("jobs", self.jobs)
+            _check_int("jobs", self.jobs, 1)
         if self.segments_source not in ("record", "builtin"):
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")
-        if self.support_size < 2:
-            raise ValueError(f"support_size must be at least 2, got {self.support_size}")
-        if self.num_bins < 1:
-            raise ValueError(f"num_bins must be at least 1, got {self.num_bins}")
         if math.isnan(self.gain_threshold):
             raise ValueError("gain_threshold must not be NaN")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        if self.random_seed < 0:
-            raise ValueError(f"random_seed must be non-negative, got {self.random_seed}")
 
 
 @dataclass(frozen=True)
@@ -390,7 +384,14 @@ def _resolve_jobs(jobs: int | None) -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def _check_input(input_path: str) -> None:
+    # before any output is opened, since opening one truncates it
+    if not os.path.isfile(input_path):
+        raise ValueError(f"input file not found: {input_path}")
+
+
 def _check_paths(input_path: str, output_path: str) -> None:
+    _check_input(input_path)
     _check_output_file(output_path)
     # opening the output truncates it, so it must not be the input under
     # another name: a symlink or a hard link
@@ -400,9 +401,10 @@ def _check_paths(input_path: str, output_path: str) -> None:
         raise ValueError("output path must differ from input path")
 
 
-def _check_out_dir(out_dir: str) -> None:
+def _check_out_dir(input_path: str, out_dir: str) -> None:
     # diagnose makes out_dir and its missing parents only once the CSVs are
     # ready; a file in the way would fail it only then
+    _check_input(input_path)
     probe = os.path.abspath(out_dir)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
@@ -573,8 +575,8 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     if not isinstance(accepted, bool):
         raise invalid("expected a boolean", ".accepted")
     gain = release.get("bic_gain")
-    if (not isinstance(gain, (int, float)) or isinstance(gain, bool)
-            or not math.isfinite(gain)):
+    # compared, not converted: an int past float range is refused, not raised
+    if type(gain) not in (int, float) or not abs(gain) <= sys.float_info.max:
         raise invalid("expected a finite number", ".bic_gain")
     mask = release.get("prefix_mask")
     if not isinstance(mask, list) or len(mask) != record.num_tokens:
@@ -678,7 +680,7 @@ def diagnose_batch(input_path: str, out_dir: str,
     over the valid records in input order. Nothing is written when no record
     survives validation.
     """
-    _check_out_dir(out_dir)
+    _check_out_dir(input_path, out_dir)
     jobs = _resolve_jobs(config.jobs)
     worker = partial(_run_lines, per_line=partial(_diagnose_line, config=config))
     tally = _BatchTally(config.strict)

@@ -82,10 +82,14 @@ class DataProcessingError(TeachcutError):
             f"strict mode: aborting at {_at_line(line_number, message)}")
 
 
-def _check_int(name: str, value: Any) -> None:
-    """Raise ValueError naming ``name`` unless value is an int, not a bool."""
+def _check_int(name: str, value: Any, least: int | None = None) -> None:
+    """Raise ValueError naming ``name`` unless value is an int, not a bool,
+    and is at least ``least`` when that is given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,6 @@ class TopKCandidates:
     student_logp: np.ndarray
     teacher_logp: np.ndarray
     lengths: np.ndarray
-
-    @property
-    def num_positions(self) -> int:
-        return len(self.lengths)
 
     def row_lengths(self) -> np.ndarray:
         return self.lengths
@@ -186,14 +186,18 @@ def decode_line(line: bytes | str, *, line_number: int | None = None) -> Any:
     except orjson.JSONDecodeError:
         pass
     # stdlib accepts a superset (NaN literals); prefer its byte-offset
-    # errors, and let validation reject non-finite values by field.
+    # errors, and let validation reject non-finite values by field. Any
+    # other error of the retry, such as an integer past CPython's digit
+    # limit or a line nested past its recursion limit, is the line's too.
     try:
         return json.loads(line)
     except json.JSONDecodeError as exc:
-        offset = len(exc.doc[:exc.pos].encode("utf-8"))
+        offset = len(exc.doc[:exc.pos].encode("utf-8", "surrogatepass"))
         error = RecordParseError(exc.msg, byte_offset=offset)
     except UnicodeDecodeError as exc:
         error = RecordParseError(exc.reason, byte_offset=exc.start)
+    except (ValueError, RecursionError) as exc:
+        error = RecordParseError(str(exc))
     error.line_number = line_number
     raise error
 

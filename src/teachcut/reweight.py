@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .changepoint import ChangeDecision
+from .records import _check_int
 from .segmentation import SegmentIndex
 
 RESCALE_EPS = 1e-8
@@ -65,8 +66,7 @@ def rescale_advantages(advantages: np.ndarray, loss_mask: np.ndarray,
 
 def fixed_prefix_mask(response_len: int, prefix_tokens: int) -> np.ndarray:
     """1.0 on the first prefix_tokens positions, 0.0 after."""
-    if prefix_tokens < 1:
-        raise ValueError(f"prefix_tokens must be at least 1, got {prefix_tokens}")
+    _check_int("prefix_tokens", prefix_tokens, 1)
     mask = np.zeros(response_len)
     mask[: min(prefix_tokens, response_len)] = 1.0
     return mask
@@ -117,6 +117,7 @@ def permute_release_points(items: Sequence[tuple[SegmentIndex, ChangeDecision]],
     boundary at or after it, never retaining zero tokens; rejected sources
     transfer as full supervision. ``mu_pre`` and ``mu_post`` are None.
     """
+    _check_int("seed", seed, 0)
     if not items:
         raise ValueError("empty batch")
     decided = [(segments.num_tokens, decision.accepted,

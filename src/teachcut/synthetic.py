@@ -15,20 +15,17 @@ from typing import Any
 
 import numpy as np
 
-from .records import (RolloutRecord, SegmentIndex, TopKCandidates,
+from .records import (RolloutRecord, SegmentIndex, TopKCandidates, _check_int,
                       _check_output_file, dumps_obj, rollout_to_obj)
 
 
 def _check_generation(tokens_per_segment: int, support_size: int,
                       noise_std: float, seed: int) -> None:
-    if tokens_per_segment < 1:
-        raise ValueError(f"tokens_per_segment must be at least 1, got {tokens_per_segment}")
-    if support_size < 2:
-        raise ValueError(f"support_size must be at least 2, got {support_size}")
+    _check_int("tokens_per_segment", tokens_per_segment, 1)
+    _check_int("support_size", support_size, 2)
+    _check_int("seed", seed, 0)
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,17 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_segments < 1:
-            raise ValueError(f"num_segments must be at least 1, got {self.num_segments}")
+        _check_int("num_segments", self.num_segments, 1)
         _check_generation(self.tokens_per_segment, self.support_size,
                           self.noise_std, self.seed)
         for name in ("pre_margin_mean", "post_margin_mean"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.true_tau is not None and not 1 <= self.true_tau <= self.num_segments - 1:
-            raise ValueError(
-                f"true_tau must lie in [1, {self.num_segments - 1}], got {self.true_tau}")
+        if self.true_tau is not None:
+            _check_int("true_tau", self.true_tau, 1)
+            if self.true_tau >= self.num_segments:
+                raise ValueError(f"true_tau must lie in [1, "
+                                 f"{self.num_segments - 1}], got {self.true_tau}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,7 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
     if not np.isfinite(means).all():
         raise ValueError("segment_means must be finite")
     _check_generation(tokens_per_segment, support_size, noise_std, seed)
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
+    _check_int("index", index, 0)
 
     num_segments = means.size
     num_tokens = num_segments * tokens_per_segment
@@ -163,8 +160,7 @@ def write_dataset(path: str, config: SyntheticConfig,
     file is opened, when ``path`` is the sidecar's own path, its directory
     is missing, or either path names a directory.
     """
-    if num_rollouts < 1:
-        raise ValueError(f"num_rollouts must be at least 1, got {num_rollouts}")
+    _check_int("num_rollouts", num_rollouts, 1)
     truth_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                               "ground_truth.jsonl")
     if os.path.abspath(path) == truth_path:

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from teachcut.pipeline import PipelineConfig, diagnose_batch, process_batch
 from teachcut.records import RolloutRecord, TeachcutError, parse_rollout_line
 
-from helpers import to_line, valid_obj, write_jsonl
+from helpers import to_line, valid_obj
 
 TOPK_KEYS = ("ids", "student_logp", "teacher_logp")
 PER_TOKEN_KEYS = ("tokens", "teacher_logp", "student_logp", "loss_mask")
 
-# integers past 64 bits (orjson decodes them as floats), NaN and infinities
+# integers past 64 bits (orjson decodes them as floats, but refuses 2**1100,
+# past float range, which only the stdlib retry decodes), NaN and infinities
 # (written as literals that only the stdlib retry decodes), nested values
 SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
            | st.integers()
@@ -86,15 +87,31 @@ def mutated_objs(draw):
                    draw(st.integers(0, 1)), draw(SHORT_ROW))
 
 
+# records that orjson refuses and whose stdlib retry raises past CPython's
+# own limits: an integer of 4,301 digits, which json.dumps cannot write,
+# and an array nested 2,000 deep beside a NaN
+RAW_LINES = tuple(
+    to_line(valid_obj()).replace(b"{", b'{"extra": ' + value + b", ", 1)
+    for value in (b"1" * 4301, b"[" * 2000 + b"0" + b"]" * 2000
+                  + b', "nan": NaN'))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(objs=st.lists(mutated_objs(), min_size=1, max_size=5))
-def test_non_strict_batches_never_raise_on_data(objs):
+@given(objs=st.lists(mutated_objs(), min_size=1, max_size=5),
+       raw=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(RAW_LINES)),
+                    max_size=2))
+def test_non_strict_batches_never_raise_on_data(objs, raw):
+    lines = [to_line(obj) for obj in objs]
+    for at, line in raw:
+        lines.insert(at, line)
     config = PipelineConfig(jobs=1)
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        src = write_jsonl(os.path.join(tmp, "in.jsonl"), objs)
+        src = os.path.join(tmp, "in.jsonl")
+        with open(src, "wb") as handle:
+            handle.write(b"".join(line + b"\n" for line in lines))
         report = process_batch(src, os.path.join(tmp, "out.jsonl"), config)
-        assert report.num_records + report.num_errors == len(objs)
+        assert report.num_records + report.num_errors == len(lines)
         result = diagnose_batch(src, os.path.join(tmp, "diag"), config)
-        assert result.report.num_records + result.report.num_errors == len(objs)
+        assert result.report.num_records + result.report.num_errors == len(lines)

@@ -22,7 +22,7 @@ def test_parse_valid_record():
     assert record.rollout_id == "r0"
     assert record.num_tokens == 4
     assert record.candidates is not None
-    assert record.candidates.num_positions == 4
+    assert len(record.candidates.lengths) == 4
     np.testing.assert_array_equal(record.candidates.row_lengths(), [3, 3, 3, 3])
     assert record.segments is not None
     np.testing.assert_array_equal(record.segments.token_ids, [0, 1, 2, 3])
@@ -49,6 +49,33 @@ def test_invalid_json_reports_line_and_offset():
     assert info.value.line_number == 7
     assert "line 7" in str(info.value)
     assert info.value.byte_offset is not None
+    # the retry decodes the UTF-8 bytes of a surrogate; the offset counts them
+    with pytest.raises(RecordParseError) as info:
+        parse_rollout_line(b'{"a": "\xed\xa0\x80",,}')
+    assert info.value.byte_offset == 12
+
+
+DIGITS = b"1" * 4301  # one past CPython's limit on int conversion
+DEEP = b"[" * 2000 + b"0" + b"]" * 2000  # past its recursion limit
+
+
+@pytest.mark.parametrize("raw", [
+    DIGITS,
+    to_line(valid_obj()).replace(b"{", b'{"extra": ' + DIGITS + b", ", 1),
+    to_line(valid_obj()).replace(b'"r0"', DIGITS),
+    to_line(valid_obj()).replace(b'"segments": [[0',
+                                 b'"segments": [[' + DIGITS),
+    to_line(valid_obj()).replace(b"{", b'{"extra": ' + DEEP[:-1] + b", ", 1),
+    to_line(valid_obj()).replace(b"{", b'{"extra": ' + DEEP
+                                 + b', "nan": NaN, ', 1),
+], ids=["line", "unknown_field", "rollout_id", "segments",
+        "unclosed", "beside_nan"])
+def test_every_error_of_the_stdlib_retry_is_the_lines(raw):
+    # orjson refuses each line, and the stdlib retry raises a ValueError
+    # (digits) or a RecursionError (depth) of its own
+    with pytest.raises(RecordParseError, match="^line 7: invalid JSON: ") as info:
+        parse_rollout_line(raw, line_number=7)
+    assert info.value.line_number == 7
 
 
 @pytest.mark.parametrize("read, error", [
