@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end. It only parses: each setting flag's dest is a
+`PipelineConfig` or `SyntheticConfig` field, and its default is that field's.
+Settings and paths are checked by the library, whose ValueError `main` turns
+into a usage error.
 
 Exit codes: 0 on success, 1 for usage problems, 2 when --strict aborts on bad
 data. Progress and batch reports go to stderr; only `snr` writes to stdout.
@@ -14,9 +17,8 @@ import os
 import sys
 
 from .diagnostics import snr_release_check
-from .pipeline import (_STRATEGY_HELP, PipelineConfig, _check_out_dir,
-                       _check_paths, diagnose_batch, permute_batch,
-                       process_batch)
+from .pipeline import (_SEGMENT_SOURCES, _STRATEGY_HELP, PipelineConfig,
+                       diagnose_batch, permute_batch, process_batch)
 from .records import DataProcessingError
 from .synthetic import SyntheticConfig, write_dataset
 
@@ -34,19 +36,15 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _or_usage(parser: argparse.ArgumentParser, call, *args, **kwargs):
-    """call(*args, **kwargs), with a ValueError made a usage error."""
-    try:
-        return call(*args, **kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _config(cls, args: argparse.Namespace):
+    """cls built from the parsed flags and defaults, one for each field."""
+    return cls(**{field.name: getattr(args, field.name)
+                  for field in dataclasses.fields(cls)})
 
 
-def _config(parser: argparse.ArgumentParser, cls, args: argparse.Namespace):
-    """cls built from the parsed flags whose dest is one of its fields."""
-    names = {field.name for field in dataclasses.fields(cls)}
-    return _or_usage(parser, cls, **{name: value for name, value
-                                     in vars(args).items() if name in names})
+def _defaults(cls) -> dict:
+    # set after the flags are added, so that --help shows each field's default
+    return {field.name: field.default for field in dataclasses.fields(cls)}
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str,
@@ -59,14 +57,14 @@ def _add_io_flags(sub: argparse.ArgumentParser, *, out_help: str,
 
 def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--segments", dest="segments_source",
-                     choices=("record", "builtin"), default="record",
+                     choices=_SEGMENT_SOURCES,
                      help="take segment layout from the record when present, "
                           "or always re-derive it from token surfaces")
     sub.add_argument("--probs", action="store_true",
                      help="candidate arrays hold probabilities; convert to logs")
     sub.add_argument("--strict", action="store_true",
                      help="abort on the first bad record instead of skipping")
-    sub.add_argument("--jobs", type=int, default=None,
+    sub.add_argument("--jobs", type=int,
                      help="worker processes (default: available cores)")
 
 
@@ -75,19 +73,16 @@ def _report_line(verb: str, report) -> str:
             f"{report.num_accepted} accepted, {report.num_errors} errors")
 
 
-def _cmd_rewrite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_rewrite(args: argparse.Namespace) -> int:
     # release and permute: one JSONL output, rewritten from the input
-    _or_usage(parser, _check_paths, args.input, args.output)
-    report = args.batch(args.input, args.output,
-                        _config(parser, PipelineConfig, args))
+    report = args.batch(args.input, args.output, _config(PipelineConfig, args))
     print(_report_line(args.command, report), file=sys.stderr)
     return 0
 
 
-def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _or_usage(parser, _check_out_dir, args.input, args.output)
+def _cmd_diagnose(args: argparse.Namespace) -> int:
     result = diagnose_batch(args.input, args.output,
-                            _config(parser, PipelineConfig, args))
+                            _config(PipelineConfig, args))
     print(_report_line("diagnose", result.report), file=sys.stderr)
     if not result.paths:
         print("diagnose: no valid records; nothing written", file=sys.stderr)
@@ -96,18 +91,17 @@ def _cmd_diagnose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return 0
 
 
-def _cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    data_path, truth_path = _or_usage(parser, write_dataset, args.output,
-                                      _config(parser, SyntheticConfig, args),
-                                      args.rollouts)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    data_path, truth_path = write_dataset(
+        args.output, _config(SyntheticConfig, args), args.rollouts)
     print(f"simulate: wrote {args.rollouts} rollouts to {data_path} "
           f"(ground truth: {truth_path})", file=sys.stderr)
     return 0
 
 
-def _cmd_snr(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    report = _or_usage(parser, snr_release_check, args.m_prefix,
-                       args.v_prefix, args.m_suffix, args.v_suffix)
+def _cmd_snr(args: argparse.Namespace) -> int:
+    report = snr_release_check(args.m_prefix, args.v_prefix, args.m_suffix,
+                               args.v_suffix)
     print(f"improves={report.release_improves} "
           f"snr_release={report.snr_release!r} snr_full={report.snr_full!r}")
     return 0
@@ -125,38 +119,37 @@ def _build_parser() -> _Parser:
                               help="detect release points and rewrite advantages")
     _add_io_flags(release, out_help="output JSONL file")
     release.add_argument("--top-k", dest="support_size", metavar="TOP_K",
-                         type=int, default=4,
-                         help="candidate support size per position")
-    release.add_argument("--strategy", default="bic", metavar="NAME",
+                         type=int, help="candidate support size per position")
+    release.add_argument("--strategy", metavar="NAME",
                          help=f"masking strategy: {_STRATEGY_HELP}")
     release.add_argument("--seed", dest="random_seed", metavar="SEED",
-                         type=int, default=0,
-                         help="permutation seed for the random strategy")
+                         type=int, help="permutation seed for the random strategy")
     _add_batch_flags(release)
-    release.set_defaults(handler=_cmd_rewrite, batch=process_batch)
+    release.set_defaults(handler=_cmd_rewrite, batch=process_batch,
+                         **_defaults(PipelineConfig))
 
     diagnose = subs.add_parser("diagnose", formatter_class=fmt,
                                help="write binned statistics and a release summary")
     _add_io_flags(diagnose, out_metavar="DIR", out_help="directory for "
                   "bins.csv, margin_bins.csv, summary.csv")
     diagnose.add_argument("--top-k", dest="support_size", metavar="TOP_K",
-                          type=int, default=4,
-                          help="candidate support size per position")
+                          type=int, help="candidate support size per position")
     diagnose.add_argument("--bins", dest="num_bins", metavar="BINS", type=int,
-                          default=20, help="number of normalized-position bins")
-    diagnose.add_argument("--gain-threshold", type=float, default=6.0,
+                          help="number of normalized-position bins")
+    diagnose.add_argument("--gain-threshold", type=float,
                           help="threshold for the strong-gain fraction")
     _add_batch_flags(diagnose)
-    diagnose.set_defaults(handler=_cmd_diagnose)
+    diagnose.set_defaults(handler=_cmd_diagnose, **_defaults(PipelineConfig))
 
     permute = subs.add_parser("permute", formatter_class=fmt,
                               help="randomly reassign release points in an "
                                    "existing release output")
     _add_io_flags(permute, out_help="output JSONL file")
     permute.add_argument("--seed", dest="random_seed", metavar="SEED",
-                         type=int, default=0, help="permutation seed")
+                         type=int, help="permutation seed")
     _add_batch_flags(permute)
-    permute.set_defaults(handler=_cmd_rewrite, batch=permute_batch)
+    permute.set_defaults(handler=_cmd_rewrite, batch=permute_batch,
+                         **_defaults(PipelineConfig))
 
     simulate = subs.add_parser("simulate", formatter_class=fmt,
                                help="generate synthetic rollouts with planted "
@@ -167,26 +160,22 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--rollouts", type=int, default=100,
                           help="number of rollouts to generate")
     simulate.add_argument("--n", dest="num_segments", metavar="N", type=int,
-                          default=6, help="segments per rollout")
+                          help="segments per rollout")
     simulate.add_argument("--tau", dest="true_tau", metavar="TAU", type=int,
-                          default=None,
                           help="planted change point (segments at the pre mean); "
                                "omit for no change")
     simulate.add_argument("--noise", dest="noise_std", metavar="NOISE",
-                          type=float, default=0.0,
-                          help="margin noise standard deviation")
+                          type=float, help="margin noise standard deviation")
     simulate.add_argument("--pre", dest="pre_margin_mean", metavar="PRE",
-                          type=float, default=1.0,
-                          help="pre-change margin mean")
+                          type=float, help="pre-change margin mean")
     simulate.add_argument("--post", dest="post_margin_mean", metavar="POST",
-                          type=float, default=0.0,
-                          help="post-change margin mean")
-    simulate.add_argument("--tokens-per-segment", type=int, default=10,
+                          type=float, help="post-change margin mean")
+    simulate.add_argument("--tokens-per-segment", type=int,
                           help="tokens in each segment")
     simulate.add_argument("--top-k", dest="support_size", metavar="TOP_K",
-                          type=int, default=4, help="candidates per position")
-    simulate.add_argument("--seed", type=int, default=0, help="noise seed")
-    simulate.set_defaults(handler=_cmd_simulate)
+                          type=int, help="candidates per position")
+    simulate.add_argument("--seed", type=int, help="noise seed")
+    simulate.set_defaults(handler=_cmd_simulate, **_defaults(SyntheticConfig))
 
     snr = subs.add_parser("snr", formatter_class=fmt,
                           help="check whether releasing a suffix improves the "
@@ -209,10 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(parser, args)
+        return args.handler(args)
     except DataProcessingError as exc:
         print(f"teachcut: error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # the library's checks of settings and paths
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .changepoint import ChangeDecision
-from .records import _check_int
+from .records import _check_int, _check_real
 from .reweight import _retained_tokens
 from .segmentation import SegmentIndex, SegmentScores
 
@@ -225,12 +225,13 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
 
     Release improves the SNR when m_P^2 / v_P >= (m_P + m_R)^2 / (v_P + v_R),
     decided exactly in the cross-multiplied form, so it holds even where the
-    reported SNRs overflow or round. Every moment must be finite.
+    reported SNRs overflow or round. Every moment must be a finite int or
+    float, not a bool; the report holds them as floats.
     """
-    for name, value in (("m_prefix", m_prefix), ("v_prefix", v_prefix),
-                        ("m_suffix", m_suffix), ("v_suffix", v_suffix)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    m_prefix, v_prefix, m_suffix, v_suffix = (
+        _check_real(name, value) for name, value in
+        (("m_prefix", m_prefix), ("v_prefix", v_prefix),
+         ("m_suffix", m_suffix), ("v_suffix", v_suffix)))
     if v_prefix <= 0.0:
         raise ValueError(f"v_prefix must be positive, got {v_prefix}")
     if v_suffix < 0.0:
@@ -238,7 +239,7 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
     snr_release = m_prefix * m_prefix / v_prefix
     total = m_prefix + m_suffix
     snr_full = total * total / (v_prefix + v_suffix)
-    m_p, v_p, m_r, v_r = (Fraction(float(value)) for value in
+    m_p, v_p, m_r, v_r = (Fraction(value) for value in
                           (m_prefix, v_prefix, m_suffix, v_suffix))
     improves = m_p * m_p * (v_p + v_r) >= (m_p + m_r) ** 2 * v_p
     return SnrReport(m_prefix=m_prefix, v_prefix=v_prefix, m_suffix=m_suffix,

@@ -33,7 +33,6 @@ import contextlib
 import gc
 import json
 import logging
-import math
 import os
 import re
 import stat
@@ -55,8 +54,9 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _at_line, _check_int, _check_output_file,
-                      _float_array, decode_line, dumps_obj, iter_jsonl_lines,
-                      parse_rollout_line, rollout_from_obj, sampled_advantage)
+                      _check_real, _float_array, decode_line, dumps_obj,
+                      iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
+                      sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
                        _transferred_release, build_prefix_mask,
                        fixed_prefix_mask, rescale_advantages)
@@ -66,6 +66,7 @@ from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores
 logger = logging.getLogger("teachcut")
 
 _STRATEGY_HELP = "bic | full | fixed:K | random"
+_SEGMENT_SOURCES = ("record", "builtin")
 
 
 def _prefix_tokens(strategy: str) -> int | None:
@@ -95,7 +96,7 @@ _CHUNK_BYTES = 1 << 20
 @dataclass(frozen=True)
 class PipelineConfig:
     """Batch-processing knobs. Each field is the dest of the CLI flag that
-    sets it and has that flag's default. ``strategy`` takes the --strategy
+    sets it and gives that flag its default. ``strategy`` takes the --strategy
     spellings: "bic", "full", "fixed:K" (keep the first K >= 1 tokens) or
     "random"."""
 
@@ -116,11 +117,15 @@ class PipelineConfig:
             _check_int(name, getattr(self, name), least)
         if self.jobs is not None:
             _check_int("jobs", self.jobs, 1)
-        if self.segments_source not in ("record", "builtin"):
+        if self.segments_source not in _SEGMENT_SOURCES:
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")
-        if math.isnan(self.gain_threshold):
-            raise ValueError("gain_threshold must not be NaN")
+        for name in ("probs", "strict"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, "
+                                 f"got {getattr(self, name)!r}")
+        # an infinite threshold is legal: no gain lies strictly above it
+        _check_real("gain_threshold", self.gain_threshold, finite=False)
 
 
 @dataclass(frozen=True)
@@ -390,9 +395,7 @@ def _check_input(input_path: str) -> None:
         raise ValueError(f"input file not found: {input_path}")
 
 
-def _check_paths(input_path: str, output_path: str) -> None:
-    _check_input(input_path)
-    _check_output_file(output_path)
+def _check_not_input(input_path: str, output_path: str) -> None:
     # opening the output truncates it, so it must not be the input under
     # another name: a symlink or a hard link
     if (os.path.abspath(input_path) == os.path.abspath(output_path)
@@ -401,15 +404,32 @@ def _check_paths(input_path: str, output_path: str) -> None:
         raise ValueError("output path must differ from input path")
 
 
-def _check_out_dir(input_path: str, out_dir: str) -> None:
-    # diagnose makes out_dir and its missing parents only once the CSVs are
-    # ready; a file in the way would fail it only then
+def _check_paths(input_path: str, output_path: str) -> None:
     _check_input(input_path)
+    _check_output_file(output_path)
+    _check_not_input(input_path, output_path)
+
+
+def _check_out_dir(input_path: str, out_dir: str) -> tuple[str, str, str]:
+    """The paths of bins.csv, margin_bins.csv and summary.csv under out_dir,
+    once each is known to be writable."""
+    # diagnose makes out_dir and its missing parents and writes the CSVs
+    # only once all records are read; a path in the way would fail only then
+    _check_input(input_path)
+    if not out_dir:
+        raise ValueError("output directory must be a non-empty path")
     probe = os.path.abspath(out_dir)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ValueError(f"output path is not a directory: {probe}")
+    paths = tuple(os.path.join(out_dir, name) for name in
+                  ("bins.csv", "margin_bins.csv", "summary.csv"))
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"output path names a directory: {path!r}")
+        _check_not_input(input_path, path)
+    return paths
 
 
 class _BatchTally:
@@ -680,7 +700,7 @@ def diagnose_batch(input_path: str, out_dir: str,
     over the valid records in input order. Nothing is written when no record
     survives validation.
     """
-    _check_out_dir(input_path, out_dir)
+    bins_path, margin_path, summary_path = _check_out_dir(input_path, out_dir)
     jobs = _resolve_jobs(config.jobs)
     worker = partial(_run_lines, per_line=partial(_diagnose_line, config=config))
     tally = _BatchTally(config.strict)
@@ -704,9 +724,6 @@ def diagnose_batch(input_path: str, out_dir: str,
     summary = _summary_from_rows(rows, config.gain_threshold)
 
     os.makedirs(out_dir, exist_ok=True)
-    bins_path = os.path.join(out_dir, "bins.csv")
-    margin_path = os.path.join(out_dir, "margin_bins.csv")
-    summary_path = os.path.join(out_dir, "summary.csv")
     write_bins_csv(advantage_bins, bins_path)
     write_bins_csv(margin_bins, margin_path)
     write_summary_csv(summary, summary_path)

@@ -15,6 +15,7 @@ Unknown fields are ignored (and preserved verbatim by the batch writer).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -90,6 +91,23 @@ def _check_int(name: str, value: Any, least: int | None = None) -> None:
     if least is not None and value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_real(name: str, value: Any, *, finite: bool = True) -> float:
+    """Return value as a float; raise ValueError naming ``name`` unless it
+    is an int or a float, not a bool, in float range and not NaN, and
+    finite when ``finite`` is set."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past float range; too long to print
+        raise ValueError(f"{name} must lie in float range") from None
+    if finite and not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    if math.isnan(number):
+        raise ValueError(f"{name} must not be NaN")
+    return number
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,10 @@ def decode_line(line: bytes | str, *, line_number: int | None = None) -> Any:
     # other error of the retry, such as an integer past CPython's digit
     # limit or a line nested past its recursion limit, is the line's too.
     try:
+        if isinstance(line, bytes):
+            # strict UTF-8, as orjson reads it: the retry would decode a
+            # surrogate's bytes through "surrogatepass"
+            line.decode("utf-8")
         return json.loads(line)
     except json.JSONDecodeError as exc:
         offset = len(exc.doc[:exc.pos].encode("utf-8", "surrogatepass"))

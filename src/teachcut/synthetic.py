@@ -8,7 +8,6 @@ construction.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -16,7 +15,8 @@ from typing import Any
 import numpy as np
 
 from .records import (RolloutRecord, SegmentIndex, TopKCandidates, _check_int,
-                      _check_output_file, dumps_obj, rollout_to_obj)
+                      _check_output_file, _check_real, dumps_obj,
+                      rollout_to_obj)
 
 
 def _check_generation(tokens_per_segment: int, support_size: int,
@@ -24,8 +24,8 @@ def _check_generation(tokens_per_segment: int, support_size: int,
     _check_int("tokens_per_segment", tokens_per_segment, 1)
     _check_int("support_size", support_size, 2)
     _check_int("seed", seed, 0)
-    if not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std}")
+    if _check_real("noise_std", noise_std) < 0.0:
+        raise ValueError(f"noise_std must be non-negative, got {noise_std}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class SyntheticConfig:
         _check_generation(self.tokens_per_segment, self.support_size,
                           self.noise_std, self.seed)
         for name in ("pre_margin_mean", "post_margin_mean"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _check_real(name, getattr(self, name))
         if self.true_tau is not None:
             _check_int("true_tau", self.true_tau, 1)
             if self.true_tau >= self.num_segments:
@@ -71,7 +70,9 @@ class GroundTruth:
 
 
 def segment_mean_profile(config: SyntheticConfig) -> np.ndarray:
-    means = np.full(config.num_segments, config.pre_margin_mean)
+    # float, or an int pre mean would truncate the post mean
+    means = np.full(config.num_segments, config.pre_margin_mean,
+                    dtype=np.float64)
     if config.true_tau is not None:
         means[config.true_tau:] = config.post_margin_mean
     return means

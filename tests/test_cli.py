@@ -256,6 +256,68 @@ def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+def snapshot(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", ["release", "permute", "diagnose"])
+def test_a_bad_setting_is_reported_before_a_missing_input(tmp_path, capsys,
+                                                          command):
+    # the config is built first; the batch checks its paths after that
+    expect_usage_exit([command, "--in", str(tmp_path / "absent.jsonl"),
+                       "--out", str(tmp_path / "out"), "--jobs", "0"])
+    err = capsys.readouterr().err
+    assert "jobs must be at least 1, got 0" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["bins.csv", "margin_bins.csv",
+                                  "summary.csv"])
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "output path names a directory"),
+    ("input", "output path must differ from input path"),
+    ("symlink", "output path must differ from input path"),
+    ("hardlink", "output path must differ from input path"),
+])
+def test_diagnose_refuses_a_csv_path_before_reading(
+        tmp_path, dataset, monkeypatch, capsys, name, kind, message):
+    diag = tmp_path / "diag"
+    diag.mkdir()
+    src = dataset
+    if kind == "directory":
+        (diag / name).mkdir()
+    elif kind == "input":  # --in diag/summary.csv --out diag
+        src = str(diag / name)
+        os.rename(dataset, src)
+    elif kind == "symlink":
+        os.symlink(dataset, diag / name)
+    else:
+        os.link(dataset, diag / name)
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
+    capsys.readouterr()
+    expect_usage_exit(["diagnose", "--in", src, "--out", str(diag)])
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert snapshot(tmp_path) == before
+
+
+def test_diagnose_refuses_an_empty_out_dir(tmp_path, dataset, monkeypatch,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
+    capsys.readouterr()
+    expect_usage_exit(["diagnose", "--in", dataset, "--out", ""])
+    err = capsys.readouterr().err
+    assert "output directory must be a non-empty path" in err
+    assert "Traceback" not in err
+    assert snapshot(tmp_path) == before
+
+
 def test_diagnose_empty_input_reports(tmp_path, capsys):
     src = tmp_path / "empty.jsonl"
     src.write_bytes(b"")

@@ -1038,7 +1038,7 @@ def test_flags_are_config_fields_with_their_defaults(argv, cls):
     settings = set(vars(args)) - {"command", "handler", "batch", "input",
                                   "output", "rollouts"}
     assert settings <= {field.name for field in fields(cls)}
-    assert cli._config(parser, cls, args) == cls()
+    assert cli._config(cls, args) == cls()
 
 
 @pytest.mark.parametrize("argv", [["release", "--strategy", "random"],

@@ -49,10 +49,10 @@ def test_invalid_json_reports_line_and_offset():
     assert info.value.line_number == 7
     assert "line 7" in str(info.value)
     assert info.value.byte_offset is not None
-    # the retry decodes the UTF-8 bytes of a surrogate; the offset counts them
+    # a surrogate's bytes are not UTF-8: the error is at their first byte
     with pytest.raises(RecordParseError) as info:
         parse_rollout_line(b'{"a": "\xed\xa0\x80",,}')
-    assert info.value.byte_offset == 12
+    assert info.value.byte_offset == 7
 
 
 DIGITS = b"1" * 4301  # one past CPython's limit on int conversion

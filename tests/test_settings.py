@@ -1,12 +1,13 @@
-"""Integer settings and batch inputs are checked before any work is done
-or any output is opened."""
+"""Integer, bool and real settings and batch inputs are checked before any
+work is done or any output is opened."""
 
+import math
 import re
 
 import pytest
 
 from teachcut.changepoint import ChangeDecision
-from teachcut.diagnostics import BinAccumulator
+from teachcut.diagnostics import BinAccumulator, snr_release_check
 from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import (PipelineConfig, diagnose_batch, permute_batch,
                                process_batch)
@@ -68,6 +69,40 @@ SETTINGS = [
 ]
 
 
+# (id, the setting's name, a call with the setting set to value) for the
+# settings that take only a bool
+BOOL_SETTINGS = [
+    ("PipelineConfig.probs", "probs",
+     lambda value: PipelineConfig(probs=value)),
+    ("PipelineConfig.strict", "strict",
+     lambda value: PipelineConfig(strict=value)),
+]
+
+# (id, the setting's name, whether an infinite value is legal, a call with
+# the setting set to value) for the settings that take a real number
+REAL_SETTINGS = [
+    ("PipelineConfig.gain_threshold", "gain_threshold", True,
+     lambda value: PipelineConfig(gain_threshold=value)),
+    ("SyntheticConfig.noise_std", "noise_std", False,
+     lambda value: SyntheticConfig(noise_std=value)),
+    ("SyntheticConfig.pre_margin_mean", "pre_margin_mean", False,
+     lambda value: SyntheticConfig(pre_margin_mean=value)),
+    ("SyntheticConfig.post_margin_mean", "post_margin_mean", False,
+     lambda value: SyntheticConfig(post_margin_mean=value)),
+    ("generate_rollout.noise_std", "noise_std", False,
+     lambda value: generate_rollout([1.0], tokens_per_segment=2,
+                                    noise_std=value)),
+    ("snr_release_check.m_prefix", "m_prefix", False,
+     lambda value: snr_release_check(value, 1.0, 0.0, 1.0)),
+    ("snr_release_check.v_prefix", "v_prefix", False,
+     lambda value: snr_release_check(1.0, value, 0.0, 1.0)),
+    ("snr_release_check.m_suffix", "m_suffix", False,
+     lambda value: snr_release_check(1.0, 1.0, value, 1.0)),
+    ("snr_release_check.v_suffix", "v_suffix", False,
+     lambda value: snr_release_check(1.0, 1.0, 0.0, value)),
+]
+
+
 def snapshot(root):
     """Every file under root and its bytes, and every directory."""
     return {str(p): p.read_bytes() if p.is_file() else None
@@ -94,6 +129,40 @@ def test_every_integer_setting_refuses_a_bool_a_float_and_a_low_value(
     assert snapshot(tmp_path) == before
     if bad == "below":
         call(least, str(path))  # the bound itself is taken
+
+
+@pytest.mark.parametrize("bad", ["no", 0, 1, None])
+@pytest.mark.parametrize("name, call", [entry[1:] for entry in BOOL_SETTINGS],
+                         ids=[entry[0] for entry in BOOL_SETTINGS])
+def test_every_bool_setting_takes_only_a_bool(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a bool, got "):
+        call(bad)
+    call(True)
+
+
+@pytest.mark.parametrize("bad, rule", [
+    (True, "be a real number, got True"),
+    ("6", "be a real number, got '6'"),
+    (None, "be a real number, got None"),
+    (10**400, "lie in float range"),
+    (-10**400, "lie in float range"),
+    (math.nan, "be finite, got nan"),
+    (math.inf, "be finite, got inf"),
+    (-math.inf, "be finite, got -inf"),
+])
+@pytest.mark.parametrize("name, infinite_ok, call",
+                         [entry[1:] for entry in REAL_SETTINGS],
+                         ids=[entry[0] for entry in REAL_SETTINGS])
+def test_every_real_setting_refuses_a_bool_a_string_and_a_non_number(
+        name, infinite_ok, call, bad, rule):
+    if infinite_ok and isinstance(bad, float) and math.isinf(bad):
+        call(bad)  # no gain lies strictly above an infinite threshold
+        return
+    if infinite_ok and rule.startswith("be finite"):
+        rule = "not be NaN"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must {rule}"):
+        call(bad)
+    call(1)  # an int is a real number
 
 
 BATCHES = [

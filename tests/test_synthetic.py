@@ -40,6 +40,11 @@ def test_mean_profile_applies_step_at_tau():
                                   [1.0, 1.0, 0.25, 0.25])
     flat = SyntheticConfig(num_segments=3, pre_margin_mean=0.7)
     np.testing.assert_array_equal(segment_mean_profile(flat), [0.7, 0.7, 0.7])
+    # an int pre mean is a real number; the post mean is not truncated to it
+    mixed = SyntheticConfig(num_segments=4, true_tau=2, pre_margin_mean=1,
+                            post_margin_mean=0.25)
+    np.testing.assert_array_equal(segment_mean_profile(mixed),
+                                  [1.0, 1.0, 0.25, 0.25])
 
 
 def test_zero_noise_margins_are_planted_exactly():
