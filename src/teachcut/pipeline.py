@@ -53,7 +53,7 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
                           _summary_row, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
-                      TeachcutError, _at_line, _check_int, _check_output_file,
+                      TeachcutError, _at_line, _check_files, _check_int,
                       _check_real, _float_array, decode_line, dumps_obj,
                       iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
                       sampled_advantage)
@@ -389,33 +389,16 @@ def _resolve_jobs(jobs: int | None) -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _check_input(input_path: str) -> None:
-    # before any output is opened, since opening one truncates it
-    if not os.path.isfile(input_path):
-        raise ValueError(f"input file not found: {input_path}")
-
-
-def _check_not_input(input_path: str, output_path: str) -> None:
-    # opening the output truncates it, so it must not be the input under
-    # another name: a symlink or a hard link
-    if (os.path.abspath(input_path) == os.path.abspath(output_path)
-            or (os.path.exists(output_path)
-                and os.path.samefile(input_path, output_path))):
-        raise ValueError("output path must differ from input path")
-
-
-def _check_paths(input_path: str, output_path: str) -> None:
-    _check_input(input_path)
-    _check_output_file(output_path)
-    _check_not_input(input_path, output_path)
-
-
 def _check_out_dir(input_path: str, out_dir: str) -> tuple[str, str, str]:
     """The paths of bins.csv, margin_bins.csv and summary.csv under out_dir,
     once each is known to be writable."""
-    # diagnose makes out_dir and its missing parents and writes the CSVs
-    # only once all records are read; a path in the way would fail only then
-    _check_input(input_path)
+    # diagnose writes the CSVs only once all records are read, so they are
+    # judged first, by the one rule for every output, records._check_files.
+    # It makes out_dir and its missing parents: a missing out_dir holds no
+    # CSV yet and needs only a directory at its nearest existing ancestor.
+    paths = tuple(os.path.join(out_dir, name) for name in
+                  ("bins.csv", "margin_bins.csv", "summary.csv"))
+    _check_files(input_path, paths if os.path.isdir(out_dir) else ())
     if not out_dir:
         raise ValueError("output directory must be a non-empty path")
     probe = os.path.abspath(out_dir)
@@ -423,12 +406,6 @@ def _check_out_dir(input_path: str, out_dir: str) -> tuple[str, str, str]:
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ValueError(f"output path is not a directory: {probe}")
-    paths = tuple(os.path.join(out_dir, name) for name in
-                  ("bins.csv", "margin_bins.csv", "summary.csv"))
-    for path in paths:
-        if os.path.isdir(path):
-            raise ValueError(f"output path names a directory: {path!r}")
-        _check_not_input(input_path, path)
     return paths
 
 
@@ -472,7 +449,8 @@ def _write_release(output_path: str,
     """Write release lines from (chunk, _run_lines results) pairs in order.
 
     Strict mode aborts on the first bad line and removes the partial output
-    when it is a regular file; a device or pipe is left as it is.
+    when it is a regular file: the file open() wrote, not a symlink that
+    names it. A device or pipe is left as it is.
     """
     handle = open(output_path, "wb")
     regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
@@ -487,7 +465,7 @@ def _write_release(output_path: str,
         handle.close()
         if not complete and regular:
             with contextlib.suppress(OSError):
-                os.unlink(output_path)
+                os.unlink(os.path.realpath(output_path))
 
 
 def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
@@ -535,7 +513,7 @@ def process_batch(input_path: str, output_path: str,
     Strict mode aborts on the first bad line and removes the partial output;
     otherwise bad lines are logged, counted, and omitted from the output.
     """
-    _check_paths(input_path, output_path)
+    _check_files(input_path, (output_path,))
     jobs = _resolve_jobs(config.jobs)
     if config.strategy == "random":
         return _transfer_batch(input_path, output_path, config, jobs,
@@ -669,7 +647,7 @@ def permute_batch(input_path: str, output_path: str,
     relative release positions is preserved up to segment-boundary snapping
     on the receiving rollout.
     """
-    _check_paths(input_path, output_path)
+    _check_files(input_path, (output_path,))
     jobs = _resolve_jobs(config.jobs)
     return _transfer_batch(input_path, output_path, config, jobs,
                            _existing_decision)

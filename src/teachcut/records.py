@@ -515,13 +515,31 @@ def rollout_to_obj(record: RolloutRecord) -> dict[str, Any]:
     return obj
 
 
-def _check_output_file(path: str) -> None:
-    """Raise ValueError when path's directory is missing or path is one."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise ValueError(f"output directory not found: {directory}")
-    if not os.path.basename(path) or os.path.isdir(path):
-        raise ValueError(f"output path names a directory: {path!r}")
+def _check_files(input_path: str | None, outputs: Sequence[str]) -> None:
+    """Raise ValueError, before anything is opened (opening an output
+    truncates it), unless the input, when given, is a regular file and each
+    output, judged on the file open() reaches through symlinks, has an
+    existing directory, is not one (a trailing "/" names one), and is neither
+    the input nor an earlier output, by real path or as one file."""
+    if input_path is not None and not os.path.isfile(input_path):
+        raise ValueError(f"input file not found: {input_path}")
+    earlier = [] if input_path is None else [(input_path, True)]
+    for path in outputs:
+        real = os.path.realpath(path)
+        directory = os.path.dirname(real)
+        if not os.path.isdir(directory):
+            raise ValueError(f"output directory not found: {directory}")
+        if not os.path.basename(path) or os.path.isdir(real):
+            raise ValueError(f"output path names a directory: {path!r}")
+        for other, is_input in earlier:
+            # samefile stats both, so only once both exist
+            if real == os.path.realpath(other) or (
+                    os.path.exists(real) and os.path.exists(other)
+                    and os.path.samefile(real, other)):
+                raise ValueError(
+                    "output path must differ from input path" if is_input
+                    else f"two outputs name one file: {other} and {path}")
+        earlier.append((path, False))
 
 
 def iter_jsonl_lines(path: str) -> Iterator[tuple[int, bytes]]:

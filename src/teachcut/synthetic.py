@@ -14,9 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from .records import (RolloutRecord, SegmentIndex, TopKCandidates, _check_int,
-                      _check_output_file, _check_real, dumps_obj,
-                      rollout_to_obj)
+from .records import (RolloutRecord, SegmentIndex, TopKCandidates, _check_files,
+                      _check_int, _check_real, dumps_obj, rollout_to_obj)
 
 
 def _check_generation(tokens_per_segment: int, support_size: int,
@@ -157,18 +156,15 @@ def write_dataset(path: str, config: SyntheticConfig,
     """Write a JSONL dataset plus a ground_truth.jsonl sidecar alongside it.
 
     Sidecar lines hold rollout_id, true_tau, and the planted per-token margins.
-    Returns (dataset_path, sidecar_path). Raises ValueError, before either
-    file is opened, when ``path`` is the sidecar's own path, its directory
-    is missing, or either path names a directory.
+    Returns (dataset_path, sidecar_path). Raises ValueError before either
+    file is opened when the one output rule, records._check_files, refuses
+    them: judged on the file open() reaches, a missing directory, a
+    directory, or one file by two names (``path`` is the sidecar or a link).
     """
     _check_int("num_rollouts", num_rollouts, 1)
     truth_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                               "ground_truth.jsonl")
-    if os.path.abspath(path) == truth_path:
-        raise ValueError(f"dataset path {path} is the ground-truth sidecar's "
-                         f"path; choose another file name")
-    _check_output_file(path)
-    _check_output_file(truth_path)
+    _check_files(None, (path, truth_path))
     with open(path, "wb") as data, open(truth_path, "wb") as truth:
         for index in range(num_rollouts):
             record, gt = generate_piecewise_rollout(config, index)

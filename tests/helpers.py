@@ -1,6 +1,7 @@
 """Builders shared across test modules."""
 
 import json
+import os
 
 import numpy as np
 
@@ -65,3 +66,16 @@ def candidates_from_rows(ids_rows, student_rows, teacher_rows):
     return TopKCandidates(flat(ids_rows, np.int64),
                           flat(student_rows, np.float64),
                           flat(teacher_rows, np.float64), lengths)
+
+
+def snapshot(root):
+    """Every path under root: a symlink's target, so that a link removed or
+    retargeted shows, each other file's bytes, and None for a directory."""
+    return {str(p): ("link", os.readlink(p)) if p.is_symlink()
+            else p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def no_reading(path):
+    """A stand-in for iter_jsonl_lines that fails the test if it is called."""
+    raise AssertionError("a record was read")

@@ -10,6 +10,8 @@ import pytest
 from teachcut import pipeline
 from teachcut.cli import main
 
+from helpers import no_reading, snapshot
+
 
 def run(argv):
     return main(argv)
@@ -18,10 +20,6 @@ def run(argv):
 def first_release(path):
     with open(path, "rb") as handle:
         return json.loads(handle.readline())["release"]
-
-
-def no_reading(path):
-    raise AssertionError("a record was read")
 
 
 def expect_usage_exit(argv):
@@ -194,8 +192,26 @@ def test_simulate_refuses_its_sidecar_path(tmp_path, capsys):
     # the dataset and its ground_truth.jsonl sidecar would share one file
     out = tmp_path / "ground_truth.jsonl"
     expect_usage_exit(["simulate", "--out", str(out), "--rollouts", "3"])
-    assert "sidecar" in capsys.readouterr().err
+    assert "two outputs name one file" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("data.jsonl", "two outputs name one file"),
+    ("missing/truth.jsonl", "output directory not found"),
+])
+def test_simulate_refuses_a_linked_sidecar(tmp_path, dataset, capsys,
+                                          sidecar, message):
+    # the dataset already exists, and neither it nor the links may change
+    truth = tmp_path / "ground_truth.jsonl"
+    truth.unlink()
+    os.symlink(tmp_path / sidecar, truth)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    expect_usage_exit(["simulate", "--out", dataset, "--rollouts", "3"])
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert snapshot(tmp_path) == before
 
 
 @pytest.mark.parametrize("link", ["same", "symlink", "hardlink"])
@@ -231,6 +247,9 @@ def test_output_resolving_to_input_is_refused(tmp_path, dataset, capsys,
     ("simulate", "missing/x.jsonl", "output directory not found"),
     ("simulate", "taken", "output path names a directory"),
     ("simulate", "x.jsonl", "output path names a directory"),  # the sidecar
+    ("release", "dangling.jsonl", "output directory not found"),
+    ("permute", "dangling.jsonl", "output directory not found"),
+    ("simulate", "dangling.jsonl", "output directory not found"),
     ("diagnose", "data.jsonl", "not a directory"),  # the input
     ("diagnose", "data.jsonl/diag/sub", "not a directory"),
 ])
@@ -243,7 +262,8 @@ def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
     (tmp_path / "taken").mkdir()
     (tmp_path / "ground_truth.jsonl").unlink()
     (tmp_path / "ground_truth.jsonl").mkdir()
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    os.symlink(tmp_path / "missing" / "x.jsonl", tmp_path / "dangling.jsonl")
+    before = snapshot(tmp_path)
     argv = [command, "--out", os.path.join(tmp_path, out)]  # keeps a "/"
     if command != "simulate":
         argv += ["--in", src]
@@ -251,15 +271,8 @@ def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
     expect_usage_exit(argv)
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*")
-            if p.is_file()} == before
+    assert snapshot(tmp_path) == before
     assert not (tmp_path / "missing").exists()
-
-
-def snapshot(root):
-    """Every path under root, with the bytes of each file."""
-    return {p: p.read_bytes() if p.is_file() else None
-            for p in root.rglob("*")}
 
 
 @pytest.mark.parametrize("command", ["release", "permute", "diagnose"])
@@ -281,6 +294,8 @@ def test_a_bad_setting_is_reported_before_a_missing_input(tmp_path, capsys,
     ("input", "output path must differ from input path"),
     ("symlink", "output path must differ from input path"),
     ("hardlink", "output path must differ from input path"),
+    ("dangling", "output directory not found"),
+    ("other csv", "two outputs name one file"),
 ])
 def test_diagnose_refuses_a_csv_path_before_reading(
         tmp_path, dataset, monkeypatch, capsys, name, kind, message):
@@ -294,8 +309,13 @@ def test_diagnose_refuses_a_csv_path_before_reading(
         os.rename(dataset, src)
     elif kind == "symlink":
         os.symlink(dataset, diag / name)
-    else:
+    elif kind == "hardlink":
         os.link(dataset, diag / name)
+    elif kind == "dangling":
+        os.symlink(tmp_path / "missing" / name, diag / name)
+    else:  # a link to another of the CSVs
+        os.symlink(diag / ("bins.csv" if name == "summary.csv"
+                           else "summary.csv"), diag / name)
     before = snapshot(tmp_path)
     monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
     capsys.readouterr()

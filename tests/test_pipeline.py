@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import math
+import os
 import tempfile
 from concurrent.futures import Future
 from dataclasses import fields, replace
@@ -206,17 +207,20 @@ def test_non_finite_release_is_rejected(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("device", [False, True])
+@pytest.mark.parametrize("kind", ["regular", "symlink", "device"])
 def test_strict_abort_removes_only_a_regular_output(tmp_path, monkeypatch,
-                                                    device):
+                                                    kind):
     # unlink is stubbed, so nothing is deleted even where the guard is wrong
     unlinked = []
     monkeypatch.setattr(pipeline.os, "unlink", unlinked.append)
     src = write_lines(tmp_path / "in.jsonl", [b"not json"])
-    out = "/dev/null" if device else str(tmp_path / "out.jsonl")
+    out = "/dev/null" if kind == "device" else str(tmp_path / "out.jsonl")
+    if kind == "symlink":  # the file open() wrote goes, not the link
+        (tmp_path / "real").mkdir()
+        os.symlink(tmp_path / "real" / "out.jsonl", out)
     with pytest.raises(DataProcessingError):
         process_batch(src, out, PipelineConfig(strict=True, jobs=1))
-    assert unlinked == ([] if device else [out])
+    assert unlinked == ([] if kind == "device" else [os.path.realpath(out)])
 
 
 def count_pools(monkeypatch):

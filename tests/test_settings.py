@@ -1,11 +1,13 @@
-"""Integer, bool and real settings and batch inputs are checked before any
-work is done or any output is opened."""
+"""Integer, bool and real settings, batch inputs and every output path are
+checked before any work is done or any output is opened."""
 
 import math
+import os
 import re
 
 import pytest
 
+from teachcut import pipeline
 from teachcut.changepoint import ChangeDecision
 from teachcut.diagnostics import BinAccumulator, snr_release_check
 from teachcut.margin import teacher_top2_margin
@@ -15,7 +17,8 @@ from teachcut.records import SegmentIndex
 from teachcut.reweight import fixed_prefix_mask, permute_release_points
 from teachcut.synthetic import SyntheticConfig, generate_rollout, write_dataset
 
-from helpers import candidates_from_rows
+from helpers import (candidates_from_rows, no_reading, snapshot, valid_obj,
+                     write_jsonl)
 
 CANDIDATES = candidates_from_rows([[0, 1, 2]], [[-0.1, -0.5, -0.9]],
                                   [[-0.2, -0.4, -0.8]])
@@ -103,12 +106,6 @@ REAL_SETTINGS = [
 ]
 
 
-def snapshot(root):
-    """Every file under root and its bytes, and every directory."""
-    return {str(p): p.read_bytes() if p.is_file() else None
-            for p in root.rglob("*")}
-
-
 @pytest.mark.parametrize("bad", [True, 2.5, "below"])
 @pytest.mark.parametrize("name, least, call", [entry[1:] for entry in SETTINGS],
                          ids=[entry[0] for entry in SETTINGS])
@@ -176,6 +173,63 @@ BATCHES = [
     ("permute", lambda src, out: permute_batch(src, out)),
     ("diagnose", lambda src, out: diagnose_batch(src, out)),
 ]
+WRITERS = dict(BATCHES, simulate=lambda src, out: write_dataset(
+    out, SyntheticConfig(), 1))
+
+JSONL = ("bic", "full", "fixed:7", "random", "permute")
+CSVS = ("bins.csv", "margin_bins.csv", "summary.csv")
+
+# (id, the writers it applies to, the paths it makes under tmp_path after
+# the input and diag/, each ("dir", name), ("link", name, target) or
+# ("hardlink", name, target), then the input and output arguments and the
+# refusal's message). simulate ignores the input; its sidecar is
+# ground_truth.jsonl beside the dataset.
+BAD_OUTPUTS = [
+    ("missing directory", JSONL + ("simulate",), [],
+     "in.jsonl", "missing/out.jsonl", "output directory not found"),
+    ("directory", JSONL + ("simulate",), [("dir", "taken")],
+     "in.jsonl", "taken", "output path names a directory"),
+    ("trailing slash", JSONL + ("simulate",), [],
+     "in.jsonl", "new/", "output path names a directory"),
+    ("dangling link", JSONL + ("simulate",),
+     [("link", "out.jsonl", "missing/out.jsonl")],
+     "in.jsonl", "out.jsonl", "output directory not found"),
+    ("the input", JSONL, [],
+     "in.jsonl", "in.jsonl", "output path must differ from input path"),
+    ("symlink to the input", JSONL, [("link", "out.jsonl", "in.jsonl")],
+     "in.jsonl", "out.jsonl", "output path must differ from input path"),
+    ("hard link to the input", JSONL, [("hardlink", "out.jsonl", "in.jsonl")],
+     "in.jsonl", "out.jsonl", "output path must differ from input path"),
+    ("dangling sidecar", ("simulate",),
+     [("link", "ground_truth.jsonl", "missing/truth.jsonl")],
+     "in.jsonl", "data.jsonl", "output directory not found"),
+    ("the sidecar", ("simulate",), [],
+     "in.jsonl", "ground_truth.jsonl", "two outputs name one file"),
+    ("symlink to the sidecar", ("simulate",),
+     [("link", "data.jsonl", "ground_truth.jsonl")],
+     "in.jsonl", "data.jsonl", "two outputs name one file"),
+    ("hard link to the sidecar", ("simulate",),
+     [("hardlink", "ground_truth.jsonl", "in.jsonl"),
+      ("hardlink", "data.jsonl", "in.jsonl")],
+     "in.jsonl", "data.jsonl", "two outputs name one file"),
+] + [case for name, other in zip(CSVS, CSVS[1:] + CSVS[:1]) for case in [
+    (f"{name} a directory", ("diagnose",), [("dir", f"diag/{name}")],
+     "in.jsonl", "diag", "output path names a directory"),
+    (f"{name} a dangling link", ("diagnose",),
+     [("link", f"diag/{name}", "missing/x.csv")],
+     "in.jsonl", "diag", "output directory not found"),
+    (f"{name} the input", ("diagnose",), [],
+     f"diag/{name}", "diag", "output path must differ from input path"),
+    (f"{name} a symlink to the input", ("diagnose",),
+     [("link", f"diag/{name}", "in.jsonl")],
+     "in.jsonl", "diag", "output path must differ from input path"),
+    (f"{name} a hard link to the input", ("diagnose",),
+     [("hardlink", f"diag/{name}", "in.jsonl")],
+     "in.jsonl", "diag", "output path must differ from input path"),
+    (f"{name} a symlink to {other}", ("diagnose",),
+     [("link", f"diag/{name}", f"diag/{other}")],
+     "in.jsonl", "diag", "two outputs name one file"),
+]]
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -198,3 +252,39 @@ def test_a_missing_or_directory_input_leaves_the_output_as_it_was(
                        match=f"^input file not found: {re.escape(str(src))}$"):
         batch(str(src), str(out))
     assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "writer, entries, src, out, message",
+    [(writer, *case[2:]) for case in BAD_OUTPUTS for writer in case[1]],
+    ids=[f"{case[0]}-{writer}" for case in BAD_OUTPUTS for writer in case[1]])
+def test_every_writer_refuses_a_bad_output_before_reading(
+        tmp_path, monkeypatch, writer, entries, src, out, message):
+    (tmp_path / "diag").mkdir()
+    write_jsonl(tmp_path / src, [valid_obj()])
+    for kind, name, *target in entries:
+        if kind == "dir":
+            (tmp_path / name).mkdir()
+        else:
+            (os.symlink if kind == "link" else os.link)(tmp_path / target[0],
+                                                        tmp_path / name)
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        # os.path.join keeps a trailing "/"
+        WRITERS[writer](str(tmp_path / src), os.path.join(tmp_path, out))
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("present", [CSVS[1:2], CSVS[:2], CSVS[::2]])
+def test_diagnose_writes_over_the_csvs_it_finds(tmp_path, present):
+    # only some outputs exist, so only some pairs can be compared as files
+    diag = tmp_path / "diag"
+    diag.mkdir()
+    for name in present:
+        (diag / name).write_bytes(b"old\n")
+    src, _ = write_dataset(str(tmp_path / "data.jsonl"),
+                           SyntheticConfig(noise_std=0.3), 2)
+    result = diagnose_batch(src, str(diag))
+    assert result.paths == tuple(str(diag / name) for name in CSVS)
+    assert all((diag / name).read_bytes() != b"old\n" for name in CSVS)
