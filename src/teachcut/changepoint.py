@@ -63,8 +63,6 @@ def detect_downward_change(scores: Any) -> ChangeDecision:
     n = s.size
     if n == 0:
         return ChangeDecision(0, False, 0.0, None, None)
-    if n == 1:
-        return ChangeDecision(1, False, 0.0, float(s[0]), None)
 
     values = s.tolist()
     mean_left, m2_left = _running_moments(values)
@@ -79,15 +77,12 @@ def detect_downward_change(scores: Any) -> ChangeDecision:
     rss = m2_left[: n - 1] + m2_rev[: n - 1][::-1]
 
     downward = np.flatnonzero(mr < ml)
-    if downward.size == 0:
-        return ChangeDecision(n, False, 0.0, float(mean_left[-1]), None)
-
-    bic1 = n * np.log((rss[downward] + BIC_EPS) / n) + 3.0 * math.log(n)
-    best = int(np.argmin(bic1))
-    best_bic = float(bic1[best])
-    if best_bic >= bic0:
-        return ChangeDecision(n, False, 0.0, float(mean_left[-1]), None)
-
-    i = int(downward[best])
-    return ChangeDecision(i + 1, True, max(0.0, bic0 - best_bic),
-                          float(ml[i]), float(mr[i]))
+    if downward.size:
+        bic1 = n * np.log((rss[downward] + BIC_EPS) / n) + 3.0 * math.log(n)
+        best = int(np.argmin(bic1))
+        best_bic = float(bic1[best])
+        if best_bic < bic0:
+            i = int(downward[best])
+            return ChangeDecision(i + 1, True, max(0.0, bic0 - best_bic),
+                                  float(ml[i]), float(mr[i]))
+    return ChangeDecision(n, False, 0.0, float(mean_left[-1]), None)

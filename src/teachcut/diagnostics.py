@@ -86,36 +86,30 @@ def _finalize(acc: BinAccumulator, *, normalize_means: bool) -> BinnedStats:
     std = np.sqrt(var)
     std[empty] = np.nan
 
-    nonempty = np.flatnonzero(~empty)
+    # token 0 of every series lands in bin 0, the first non-empty bin
     normalized_std = np.full(acc.num_bins, np.nan)
-    if nonempty.size:
-        base = std[nonempty[0]]
-        if base > 0.0:
-            normalized_std = std / base
-        else:
-            warnings.warn("first non-empty bin has zero std; normalized_std "
-                          "is undefined", RuntimeWarning, stacklevel=3)
+    if std[0] > 0.0:
+        normalized_std = std / std[0]
+    else:
+        warnings.warn("first non-empty bin has zero std; normalized_std "
+                      "is undefined", RuntimeWarning, stacklevel=3)
 
     if normalize_means:
-        if nonempty.size:
-            base_mean = mean[nonempty[0]]
-            if base_mean != 0.0:
-                mean = mean / base_mean
-            else:
-                warnings.warn("first non-empty bin has zero mean; normalized "
-                              "curve is undefined", RuntimeWarning, stacklevel=3)
-                mean = np.full(acc.num_bins, np.nan)
+        if mean[0] != 0.0:
+            mean = mean / mean[0]
+        else:
+            warnings.warn("first non-empty bin has zero mean; normalized "
+                          "curve is undefined", RuntimeWarning, stacklevel=3)
+            mean = np.full(acc.num_bins, np.nan)
 
     return BinnedStats(acc.num_bins, counts.copy(), mean, std, normalized_std)
 
 
 def _accumulate_batch(batch: Iterable[Any], num_bins: int) -> BinAccumulator:
     acc = BinAccumulator(num_bins)
-    saw_any = False
     for series in batch:
         acc.add_series(series)
-        saw_any = True
-    if not saw_any:
+    if not acc.counts[0]:
         raise ValueError("empty batch")
     return acc
 
@@ -155,9 +149,13 @@ class ReleaseSummary:
     mean_post_margin: float
 
 
-def _summary_from_rows(rows: Sequence[tuple[bool, float, float, float, float]],
+# (accepted, bic_gain, relative position, mu_pre, mu_post): the position and
+# the means are read on accepted rows only; a rejected row's means may be None
+_SummaryRow = tuple[bool, float, float, float | None, float | None]
+
+
+def _summary_from_rows(rows: Sequence[_SummaryRow],
                        gain_threshold: float) -> ReleaseSummary:
-    # rows: (accepted, bic_gain, relative_position, mu_pre, mu_post)
     if not rows:
         raise ValueError("empty batch")
     total = len(rows)
@@ -188,7 +186,7 @@ def release_summary(batch: Sequence[tuple[ChangeDecision, SegmentScores, int]],
     """Summarize decisions over a batch of (decision, scores, response_len).
 
     The relative release position of an accepted rollout is its retained token
-    count divided by the response length.
+    count divided by the response length, an integer of at least 1.
     """
     rows = [_summary_row(decision, scores.segment_index, response_len)
             for decision, scores, response_len in batch]
@@ -196,12 +194,10 @@ def release_summary(batch: Sequence[tuple[ChangeDecision, SegmentScores, int]],
 
 
 def _summary_row(decision: ChangeDecision, segments: SegmentIndex,
-                 response_len: int) -> tuple[bool, float, float, float, float]:
-    """One decision as _summary_from_rows reads it; a rejected rollout keeps
-    all its tokens (relative position 1.0) and has no segment means."""
-    if not decision.accepted:
-        return (False, decision.bic_gain, 1.0, math.nan, math.nan)
-    return (True, decision.bic_gain,
+                 response_len: int) -> _SummaryRow:
+    """One decision as _summary_from_rows reads it."""
+    _check_int("response_len", response_len, 1)
+    return (decision.accepted, decision.bic_gain,
             _retained_tokens(segments, decision) / response_len,
             decision.mu_pre, decision.mu_post)
 

@@ -7,8 +7,9 @@ any --jobs value. Release output echoes each input line verbatim and splices
 in a ``release`` object rather than re-encoding the record, which both
 preserves unknown fields and keeps the hot path cheap. Every strategy writes
 that object from one ReleaseResult; its ``decision``, a ChangeDecision,
-gives ``accepted``, ``release_segment`` and ``bic_gain`` (None for full and
-fixed:K, which run no test).
+gives ``accepted``, ``release_segment`` and ``bic_gain``. Full and fixed:K,
+which run no test, carry one untested decision: not accepted, release
+segment -1 and gain 0.0.
 
 Random release and permute read and parse the input once. Pass 1 checks
 each line on the pool and returns the record's decision as four scalars,
@@ -180,23 +181,22 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     per-record form; use process_batch for it.
     """
     num_tokens = record.num_tokens
-    decision = None
-    if config.strategy == "full":
-        prefix_mask = np.ones(num_tokens)
-    elif config.strategy == "bic":
+    if config.strategy == "bic":
         _, segments, _, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
     elif config.strategy == "random":
         raise ValueError("random is a batch-level strategy; use process_batch")
-    else:
-        prefix_mask = fixed_prefix_mask(num_tokens, _prefix_tokens(config.strategy))
+    else:  # fixed:K, or full: the prefix of every token
+        decision = _UNTESTED
+        prefix_mask = fixed_prefix_mask(
+            num_tokens, _prefix_tokens(config.strategy) or num_tokens)
     return _reweight(sampled_advantage(record), record.loss_mask, prefix_mask,
                      decision)
 
 
 def _reweight(advantages: np.ndarray, loss_mask: np.ndarray,
               prefix_mask: np.ndarray,
-              decision: ChangeDecision | None) -> ReleaseResult:
+              decision: ChangeDecision) -> ReleaseResult:
     # an overflow gives inf, for which _encode_release rejects the record
     with np.errstate(over="ignore"):
         rescaled, scale = rescale_advantages(advantages, loss_mask, prefix_mask)
@@ -213,7 +213,7 @@ def _encode_release(span: tuple[int, int], result: ReleaseResult,
     """((span, the encoded release object), accepted), as _splice_release
     takes it. JSON has no form for inf or NaN, so a record whose reweighting
     overflows is rejected rather than written with a stand-in."""
-    decision = result.decision or _UNTESTED
+    decision = result.decision
     rescaled = result.rescaled_advantages
     finite = np.isfinite(rescaled)
     if not finite.all():

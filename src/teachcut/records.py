@@ -518,14 +518,17 @@ def rollout_to_obj(record: RolloutRecord) -> dict[str, Any]:
 def _check_files(input_path: str | None, outputs: Sequence[str]) -> None:
     """Raise ValueError, before anything is opened (opening an output
     truncates it), unless the input, when given, is a regular file and each
-    output, judged on the file open() reaches through symlinks, has an
-    existing directory, is not one (a trailing "/" names one), and is neither
-    the input nor an earlier output, by real path or as one file."""
+    output, judged on the file open() reaches through symlinks, is reached
+    (realpath leaves a symlink loop unresolved), has an existing directory,
+    is not one (a trailing "/" names one), and is neither the input nor an
+    earlier output, by real path or as one file."""
     if input_path is not None and not os.path.isfile(input_path):
         raise ValueError(f"input file not found: {input_path}")
     earlier = [] if input_path is None else [(input_path, True)]
     for path in outputs:
         real = os.path.realpath(path)
+        if os.path.islink(real):
+            raise ValueError(f"output path is a symlink loop: {path!r}")
         directory = os.path.dirname(real)
         if not os.path.isdir(directory):
             raise ValueError(f"output directory not found: {directory}")

@@ -19,14 +19,15 @@ RESCALE_EPS = 1e-8
 class ReleaseResult:
     """Token-level outcome of one release strategy.
 
-    ``decision`` is None for strategies that never ran the change-point test
-    (full supervision, fixed prefix).
+    Strategies that never run the change-point test (full supervision, fixed
+    prefix) carry an untested ``decision``: not accepted, ``release_segment``
+    -1, ``bic_gain`` 0.0 and no means.
     """
 
     prefix_mask: np.ndarray
     scale: float
     rescaled_advantages: np.ndarray
-    decision: ChangeDecision | None
+    decision: ChangeDecision
 
 
 def build_prefix_mask(segments: SegmentIndex, decision: ChangeDecision,
@@ -100,11 +101,8 @@ def _transferred_release(decided: tuple[int, bool, int, float],
     tokens, BIC gain), imposed on a target's segments; no means are fitted
     on the target, so ``mu_pre`` and ``mu_post`` are None."""
     total, accepted, retained, gain = decided
-    if accepted:
-        segment = _snap_release_segment(target.bounds, retained, total,
-                                        target.num_tokens)
-    else:
-        segment = len(target)
+    segment = _snap_release_segment(target.bounds, retained, total,
+                                    target.num_tokens)
     return ChangeDecision(segment, bool(accepted), float(gain), None, None)
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut.changepoint import BIC_EPS, detect_downward_change
+from teachcut.changepoint import (BIC_EPS, ChangeDecision,
+                                  detect_downward_change)
 
 from reference import oracle_change_point, profiled_bic
 
@@ -76,14 +77,11 @@ def test_two_point_drop():
 
 
 def test_degenerate_lengths():
-    empty = detect_downward_change([])
-    assert (empty.release_segment, empty.accepted) == (0, False)
-    assert empty.mu_pre is None
-
-    single = detect_downward_change([0.7])
-    assert (single.release_segment, single.accepted) == (1, False)
-    assert single.mu_pre == pytest.approx(0.7)
-    assert single.mu_post is None
+    assert detect_downward_change([]) == ChangeDecision(0, False, 0.0, None,
+                                                        None)
+    # one score takes the general path's no-drop exit: its mean is the score
+    assert detect_downward_change([0.7]) == ChangeDecision(1, False, 0.0, 0.7,
+                                                           None)
 
 
 def test_accepts_segment_scores_objects():

@@ -250,6 +250,7 @@ def test_output_resolving_to_input_is_refused(tmp_path, dataset, capsys,
     ("release", "dangling.jsonl", "output directory not found"),
     ("permute", "dangling.jsonl", "output directory not found"),
     ("simulate", "dangling.jsonl", "output directory not found"),
+    ("release", "loop.jsonl", "output path is a symlink loop"),
     ("diagnose", "data.jsonl", "not a directory"),  # the input
     ("diagnose", "data.jsonl/diag/sub", "not a directory"),
 ])
@@ -263,6 +264,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
     (tmp_path / "ground_truth.jsonl").unlink()
     (tmp_path / "ground_truth.jsonl").mkdir()
     os.symlink(tmp_path / "missing" / "x.jsonl", tmp_path / "dangling.jsonl")
+    os.symlink("loop.jsonl", tmp_path / "loop.jsonl")  # open() raises ELOOP
     before = snapshot(tmp_path)
     argv = [command, "--out", os.path.join(tmp_path, out)]  # keeps a "/"
     if command != "simulate":
@@ -295,6 +297,7 @@ def test_a_bad_setting_is_reported_before_a_missing_input(tmp_path, capsys,
     ("symlink", "output path must differ from input path"),
     ("hardlink", "output path must differ from input path"),
     ("dangling", "output directory not found"),
+    ("loop", "output path is a symlink loop"),
     ("other csv", "two outputs name one file"),
 ])
 def test_diagnose_refuses_a_csv_path_before_reading(
@@ -313,6 +316,8 @@ def test_diagnose_refuses_a_csv_path_before_reading(
         os.link(dataset, diag / name)
     elif kind == "dangling":
         os.symlink(tmp_path / "missing" / name, diag / name)
+    elif kind == "loop":
+        os.symlink(name, diag / name)
     else:  # a link to another of the CSVs
         os.symlink(diag / ("bins.csv" if name == "summary.csv"
                            else "summary.csv"), diag / name)

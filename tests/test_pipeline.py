@@ -313,6 +313,38 @@ def test_map_chunks_bounds_the_chunks_in_flight(monkeypatch):
     assert max(in_flight) == jobs * 4
 
 
+def test_strict_abort_on_a_pool_cancels_the_pending_chunks(tmp_path,
+                                                          monkeypatch):
+    # 12 one-line chunks, more than jobs * 4 = 8, with the bad line first:
+    # its result comes back while 7 chunks are still out at workers
+    cancelled = []
+    cancel = Future.cancel
+
+    def spy(future):
+        cancelled.append(future)
+        return cancel(future)
+
+    monkeypatch.setattr(Future, "cancel", spy)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
+    pools = count_pools(monkeypatch)
+    good = json.dumps(planted_obj()).encode()
+    src = write_lines(tmp_path / "in.jsonl", [good[:-1]] + [good] * 11)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(DataProcessingError, match="line 1: invalid JSON"):
+        process_batch(src, str(out), PipelineConfig(jobs=2, strict=True))
+    assert pools == [{"max_workers": 2}]
+    assert len(cancelled) == 7
+    assert not out.exists()
+
+
+def test_jobs_default_to_the_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pipeline._resolve_jobs(None) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert pipeline._resolve_jobs(None) == 1
+
+
 def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
     # a stand-in executor that runs each task inline and starts no process
     sizes = []
@@ -643,24 +675,42 @@ def test_batches_restore_gc_state(tmp_path, enabled):
         gc.enable() if was_enabled else gc.disable()
 
 
-def test_permute_requires_release_objects(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_permute_requires_release_objects(tmp_path, monkeypatch, jobs):
     released = str(tmp_path / "released.jsonl")
     process_batch(write_objs(tmp_path / "one.jsonl", [planted_obj()]), released)
     line = Path(released).read_bytes().strip()
     gain = line.index(b'"bic_gain":') + len(b'"bic_gain":')
     # JSON has no NaN; a gain that is not finite cannot be written back
     nan_gain = line[:gain] + b"NaN" + line[line.index(b",", gain):]
-    src = write_lines(tmp_path / "in.jsonl",
-                      [json.dumps(planted_obj()).encode(), nan_gain])
+    short_mask = json.loads(line)["release"]["prefix_mask"][:-1]
+    boolean, per_token = ("expected a boolean",
+                          "expected a list with one entry per token")
+    bad_fields = [("accepted", 1, boolean), ("accepted", "true", boolean),
+                  ("accepted", None, boolean), ("prefix_mask", {}, per_token),
+                  ("prefix_mask", short_mask, per_token)]
+    lines = [json.dumps(planted_obj()).encode(), nan_gain]
+    for key, value, _ in bad_fields:
+        obj = json.loads(line)
+        obj["release"][key] = value
+        lines.append(json.dumps(obj).encode())
+    src = write_lines(tmp_path / "in.jsonl", lines)
     out = tmp_path / "out.jsonl"
-    report = permute_batch(src, str(out))
-    assert (report.num_records, report.num_errors) == (0, 2)
+    # a chunk per line, so that jobs=2 checks the lines on a pool
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
+    pools = count_pools(monkeypatch)
+    report = permute_batch(src, str(out), PipelineConfig(jobs=jobs))
+    assert pools == ([] if jobs == 1 else [{"max_workers": 2}])
+    assert (report.num_records, report.num_errors) == (0, 7)
     assert "run release first" in report.errors[0][1]
     assert report.errors[1][1].startswith("line 2: release.bic_gain")
+    assert [message for _, message in report.errors[2:]] == [
+        f"line {number}: release.{key}: {text}"
+        for number, (key, _, text) in enumerate(bad_fields, start=3)]
     assert out.read_bytes() == b""
     with pytest.raises(DataProcessingError):
         permute_batch(src, str(tmp_path / "strict.jsonl"),
-                      PipelineConfig(strict=True))
+                      PipelineConfig(jobs=jobs, strict=True))
 
 
 def seeded_transfer_lines():
@@ -1073,6 +1123,19 @@ def test_single_record_reweight_rejects_random():
     with pytest.raises(ValueError, match="batch-level"):
         dynamic_prefix_reweight(record,
                                 PipelineConfig(strategy="random"))
+
+
+@pytest.mark.parametrize("strategy, kept", [("full", 60), ("fixed:7", 7)])
+def test_single_record_reweight_untested_strategies(strategy, kept):
+    # full is the fixed prefix of every token; neither runs the test
+    record = parse_rollout_line(json.dumps(planted_obj()).encode())
+    result = dynamic_prefix_reweight(record, PipelineConfig(strategy=strategy))
+    assert result.decision == ChangeDecision(release_segment=-1,
+                                             accepted=False, bic_gain=0.0,
+                                             mu_pre=None, mu_post=None)
+    assert result.prefix_mask.dtype == np.float64
+    np.testing.assert_array_equal(result.prefix_mask,
+                                  np.arange(60) < kept)
 
 
 def test_single_record_reweight_bic():

@@ -156,18 +156,23 @@ def test_permute_is_seed_deterministic_and_seed_sensitive():
 
 
 def test_permute_rejected_source_transfers_full_supervision():
+    # the last target's segments leave tokens 0 and 3 unassigned
     items = [(index([2, 2]), decision(2, accepted=False)),
-             (index([1, 1, 1, 1]), decision(1))]
+             (index([1, 1, 1, 1]), decision(1)),
+             (SegmentIndex([[1], [2]], 4), decision(1))]
     swapped = False
-    for seed in range(6):
+    covering = set()  # whether each target a rejected source reached covers
+    for seed in range(12):
         assignments = permute_release_points(items, seed=seed)
         sources = _release_sources(len(items), seed)
-        swapped |= sources != [0, 1]
+        swapped |= sources != [0, 1, 2]
         for t, s in enumerate(sources):
             if not items[s][1].accepted:
                 assert not assignments[t].accepted
                 assert assignments[t].release_segment == len(items[t][0])
+                covering.add(int(items[t][0].bounds[-1]) == 4)
     assert swapped
+    assert covering == {True, False}
 
 
 def test_permute_empty_batch_rejected():

@@ -5,16 +5,19 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from teachcut import pipeline
 from teachcut.changepoint import ChangeDecision
-from teachcut.diagnostics import BinAccumulator, snr_release_check
+from teachcut.diagnostics import (BinAccumulator, release_summary,
+                                  snr_release_check)
 from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import (PipelineConfig, diagnose_batch, permute_batch,
                                process_batch)
 from teachcut.records import SegmentIndex
 from teachcut.reweight import fixed_prefix_mask, permute_release_points
+from teachcut.segmentation import SegmentScores
 from teachcut.synthetic import SyntheticConfig, generate_rollout, write_dataset
 
 from helpers import (candidates_from_rows, no_reading, snapshot, valid_obj,
@@ -25,6 +28,7 @@ CANDIDATES = candidates_from_rows([[0, 1, 2]], [[-0.1, -0.5, -0.9]],
 ITEMS = [(SegmentIndex([[0, 1]], 2),
           ChangeDecision(release_segment=1, accepted=False, bic_gain=0.0,
                          mu_pre=None, mu_post=None))]
+SCORES = SegmentScores(np.zeros(1), ITEMS[0][0])
 
 # (id, the setting's name, its least value, a call with the setting set to
 # value that writes, if anything, the dataset at path)
@@ -45,6 +49,8 @@ SETTINGS = [
      lambda value, path: fixed_prefix_mask(10, value)),
     ("permute_release_points.seed", "seed", 0,
      lambda value, path: permute_release_points(ITEMS, value)),
+    ("release_summary.response_len", "response_len", 1,
+     lambda value, path: release_summary([(ITEMS[0][1], SCORES, value)])),
     ("generate_rollout.tokens_per_segment", "tokens_per_segment", 1,
      lambda value, path: generate_rollout([1.0], tokens_per_segment=value)),
     ("generate_rollout.support_size", "support_size", 2,
@@ -194,6 +200,13 @@ BAD_OUTPUTS = [
     ("dangling link", JSONL + ("simulate",),
      [("link", "out.jsonl", "missing/out.jsonl")],
      "in.jsonl", "out.jsonl", "output directory not found"),
+    ("symlink loop", JSONL + ("simulate",),
+     [("link", "out.jsonl", "out.jsonl")],
+     "in.jsonl", "out.jsonl", "output path is a symlink loop"),
+    ("two-link symlink loop", JSONL + ("simulate",),
+     [("link", "out.jsonl", "cycle.jsonl"),
+      ("link", "cycle.jsonl", "out.jsonl")],
+     "in.jsonl", "out.jsonl", "output path is a symlink loop"),
     ("the input", JSONL, [],
      "in.jsonl", "in.jsonl", "output path must differ from input path"),
     ("symlink to the input", JSONL, [("link", "out.jsonl", "in.jsonl")],
@@ -203,6 +216,9 @@ BAD_OUTPUTS = [
     ("dangling sidecar", ("simulate",),
      [("link", "ground_truth.jsonl", "missing/truth.jsonl")],
      "in.jsonl", "data.jsonl", "output directory not found"),
+    ("looped sidecar", ("simulate",),
+     [("link", "ground_truth.jsonl", "ground_truth.jsonl")],
+     "in.jsonl", "data.jsonl", "output path is a symlink loop"),
     ("the sidecar", ("simulate",), [],
      "in.jsonl", "ground_truth.jsonl", "two outputs name one file"),
     ("symlink to the sidecar", ("simulate",),
@@ -218,6 +234,13 @@ BAD_OUTPUTS = [
     (f"{name} a dangling link", ("diagnose",),
      [("link", f"diag/{name}", "missing/x.csv")],
      "in.jsonl", "diag", "output directory not found"),
+    (f"{name} a symlink loop", ("diagnose",),
+     [("link", f"diag/{name}", f"diag/{name}")],
+     "in.jsonl", "diag", "output path is a symlink loop"),
+    (f"{name} a two-link symlink loop", ("diagnose",),
+     [("link", f"diag/{name}", "diag/cycle.csv"),
+      ("link", "diag/cycle.csv", f"diag/{name}")],
+     "in.jsonl", "diag", "output path is a symlink loop"),
     (f"{name} the input", ("diagnose",), [],
      f"diag/{name}", "diag", "output path must differ from input path"),
     (f"{name} a symlink to the input", ("diagnose",),
