@@ -89,9 +89,10 @@ def _prefix_tokens(strategy: str) -> int | None:
 
 
 # A chunk ends at the first line that brings it to this many bytes, so the
-# chunks in flight, at most jobs * 4, hold jobs * 4 * (1 MiB + the longest
-# line) of input whatever the line size.
-_CHUNK_BYTES = 1 << 20
+# chunks in flight, at most jobs * 2, hold jobs * 2 * (512 KiB + the longest
+# line) of input whatever the line size. A task costs about 0.2 ms of CPU,
+# while memory is paid per chunk, so chunks stay this small.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,10 @@ def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
 
     Pooled when jobs > 1 and there is a second chunk; a single chunk runs in
     this process, which saves starting and stopping the pool. The pool
-    starts one worker per chunk up to jobs, and at most jobs * 4 chunks are
-    out at workers.
+    starts one worker per chunk up to jobs, and at most jobs * 2 chunks are
+    out at workers, one running and one queued per worker. Beyond those
+    chunks, this process holds only the pool's pickled copy of the chunk it
+    is sending and the results not yet written.
     """
     chunks = iter(chunks)
     head = list(islice(chunks, jobs)) if jobs > 1 else []
@@ -369,7 +372,7 @@ def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
         try:
             for chunk in chain(head, chunks):
                 pending.append((chunk, pool.submit(worker, chunk)))
-                if len(pending) >= jobs * 4:
+                if len(pending) >= jobs * 2:
                     chunk, future = pending.popleft()
                     yield chunk, future.result()
             while pending:
@@ -391,7 +394,8 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 def _check_out_dir(input_path: str, out_dir: str) -> tuple[str, str, str]:
     """The paths of bins.csv, margin_bins.csv and summary.csv under out_dir,
-    once each is known to be writable."""
+    once _check_files finds none a directory or the input, and out_dir is,
+    or can be made, a directory. Permissions are not checked."""
     # diagnose writes the CSVs only once all records are read, so they are
     # judged first, by the one rule for every output, records._check_files.
     # It makes out_dir and its missing parents: a missing out_dir holds no

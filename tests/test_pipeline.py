@@ -236,19 +236,39 @@ def count_pools(monkeypatch):
     return pools
 
 
-def test_parallel_output_is_bit_identical(tmp_path, monkeypatch):
-    # 80 records, 587 kB: several chunks of 64 kB, so jobs=2 runs the pool
+@pytest.mark.parametrize("command", ["bic", "random", "permute", "diagnose"])
+def test_parallel_output_is_bit_identical(tmp_path, monkeypatch, command):
+    # 80 records, 587 kB and more once released: at least 9 chunks of
+    # 64 kB, more than the jobs * 2 = 4 out at once, so jobs=2 waits on them
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 16)
+    lines = [to_line(planted_obj(i, noise=0.4, seed=5)) for i in range(80)]
+    if command == "permute":
+        released = str(tmp_path / "released.jsonl")
+        process_batch(write_lines(tmp_path / "src.jsonl", lines), released,
+                      PipelineConfig(jobs=1))
+        lines = Path(released).read_bytes().splitlines()
+    lines.insert(40, b"{not json")  # in a middle chunk
+    src = write_lines(tmp_path / "in.jsonl", lines)
+    assert len(list(pipeline._iter_chunks(src))) >= 9
     pools = count_pools(monkeypatch)
-    objs = [planted_obj(i, noise=0.4, seed=5) for i in range(80)]
-    src = write_objs(tmp_path / "in.jsonl", objs)
-    one = str(tmp_path / "one.jsonl")
-    two = str(tmp_path / "two.jsonl")
-    process_batch(src, one, PipelineConfig(jobs=1))
-    assert pools == []
-    process_batch(src, two, PipelineConfig(jobs=2))
+    outputs = {}
+    for jobs in (1, 2):
+        config = PipelineConfig(jobs=jobs, random_seed=3)
+        out = str(tmp_path / f"out{jobs}")
+        if command == "diagnose":
+            result = diagnose_batch(src, out, config)
+            report, paths = result.report, result.paths
+        elif command == "permute":
+            report, paths = permute_batch(src, out, config), [out]
+        else:
+            report = process_batch(src, out, replace(config, strategy=command))
+            paths = [out]
+        outputs[jobs] = report, [Path(path).read_bytes() for path in paths]
     assert pools == [{"max_workers": 2}]
-    assert Path(one).read_bytes() == Path(two).read_bytes()
+    assert outputs[1] == outputs[2]
+    report = outputs[1][0]
+    assert report.num_records == 80
+    assert [line for line, _ in report.errors] == [41]
 
 
 def test_one_chunk_runs_in_process_at_any_jobs(tmp_path, monkeypatch):
@@ -310,13 +330,13 @@ def test_map_chunks_bounds_the_chunks_in_flight(monkeypatch):
         consumed.append(item)
     assert consumed == list(range(40))
     assert len(pools) == 1
-    assert max(in_flight) == jobs * 4
+    assert max(in_flight) == jobs * 2
 
 
 def test_strict_abort_on_a_pool_cancels_the_pending_chunks(tmp_path,
                                                           monkeypatch):
-    # 12 one-line chunks, more than jobs * 4 = 8, with the bad line first:
-    # its result comes back while 7 chunks are still out at workers
+    # 12 one-line chunks, more than jobs * 2 = 4, with the bad line first:
+    # its result comes back while 3 chunks are still out at workers
     cancelled = []
     cancel = Future.cancel
 
@@ -333,7 +353,7 @@ def test_strict_abort_on_a_pool_cancels_the_pending_chunks(tmp_path,
     with pytest.raises(DataProcessingError, match="line 1: invalid JSON"):
         process_batch(src, str(out), PipelineConfig(jobs=2, strict=True))
     assert pools == [{"max_workers": 2}]
-    assert len(cancelled) == 7
+    assert len(cancelled) == 3
     assert not out.exists()
 
 
