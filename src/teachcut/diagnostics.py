@@ -58,7 +58,6 @@ def _series_bins(values: Any, num_bins: int,
     if length == 0:
         raise ValueError("series must contain at least one value")
     idx = (np.arange(length, dtype=np.int64) * num_bins) // length
-    np.minimum(idx, num_bins - 1, out=idx)
     return (np.bincount(idx, minlength=num_bins),
             np.bincount(idx, weights=values, minlength=num_bins),
             np.bincount(idx, weights=values * values, minlength=num_bins))
@@ -88,21 +87,26 @@ def _finalize(acc: BinAccumulator, *, normalize_means: bool) -> BinnedStats:
 
     # token 0 of every series lands in bin 0, the first non-empty bin
     normalized_std = np.full(acc.num_bins, np.nan)
-    if std[0] > 0.0:
+    if 0.0 < std[0] < math.inf:
         normalized_std = std / std[0]
     else:
-        warnings.warn("first non-empty bin has zero std; normalized_std "
-                      "is undefined", RuntimeWarning, stacklevel=3)
+        _warn_base("std", std[0], "normalized_std")
 
     if normalize_means:
-        if mean[0] != 0.0:
+        if math.isfinite(mean[0]) and mean[0] != 0.0:
             mean = mean / mean[0]
         else:
-            warnings.warn("first non-empty bin has zero mean; normalized "
-                          "curve is undefined", RuntimeWarning, stacklevel=3)
+            _warn_base("mean", mean[0], "normalized curve")
             mean = np.full(acc.num_bins, np.nan)
 
     return BinnedStats(acc.num_bins, counts.copy(), mean, std, normalized_std)
+
+
+def _warn_base(stat: str, value: float, result: str) -> None:
+    # bin 0's stat cannot divide: zero, or inf or NaN after an overflow
+    kind = "zero" if value == 0.0 else "non-finite"
+    warnings.warn(f"first non-empty bin has {kind} {stat}; {result} is "
+                  "undefined", RuntimeWarning, stacklevel=4)
 
 
 def _accumulate_batch(batch: Iterable[Any], num_bins: int) -> BinAccumulator:

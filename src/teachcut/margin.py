@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,8 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
                         support_size: int = 4) -> MarginSeries:
     """M_t = teacher log-prob gap between its top two candidates in the support.
 
-    The support at each position is its first ``support_size`` candidates
-    (the student's most probable ones). A row shorter than ``support_size``
-    uses all of its candidates, and a warning says when some row is.
+    The support at each position is its first min(``support_size``, row
+    length) candidates, the student's most probable ones.
     """
     _check_int("support_size", support_size, 2)
     lengths = candidates.lengths
@@ -39,11 +37,6 @@ def teacher_top2_margin(candidates: TopKCandidates, *,
         raise ValueError(
             f"position {pos}: the support must expose at least two teacher "
             f"log-probabilities, got {int(lengths[pos])}")
-    if min_len < support_size:
-        warnings.warn(
-            f"support_size {support_size} exceeds the {min_len} candidates "
-            f"available at some positions; clamping", RuntimeWarning,
-            stacklevel=2)
 
     width = min(support_size, max_len)
     if min_len == max_len:  # every row is as wide as the widest: a view

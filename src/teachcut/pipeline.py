@@ -191,16 +191,8 @@ def dynamic_prefix_reweight(record: RolloutRecord,
         decision = _UNTESTED
         prefix_mask = fixed_prefix_mask(
             num_tokens, _prefix_tokens(config.strategy) or num_tokens)
-    return _reweight(sampled_advantage(record), record.loss_mask, prefix_mask,
-                     decision)
-
-
-def _reweight(advantages: np.ndarray, loss_mask: np.ndarray,
-              prefix_mask: np.ndarray,
-              decision: ChangeDecision) -> ReleaseResult:
-    # an overflow gives inf, for which _encode_release rejects the record
-    with np.errstate(over="ignore"):
-        rescaled, scale = rescale_advantages(advantages, loss_mask, prefix_mask)
+    rescaled, scale = rescale_advantages(sampled_advantage(record),
+                                         record.loss_mask, prefix_mask)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
 
 
@@ -476,7 +468,9 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
                *args: Any) -> list[tuple[str, Any]]:
     """("", per_line(raw, *args)) for each line of a chunk, or (the error's
     text, None) for a line that raised a TeachcutError. The text names no
-    line; _BatchTally.record_error adds that.
+    line; _BatchTally.record_error adds that. Floating-point warnings are
+    off, so stderr is the same at any --jobs: each non-finite value is
+    judged where it lands, by _encode_release or in diagnose's CSV.
 
     The chunk runs with the collector paused: refcounting frees each line's
     decoded tree, which is acyclic, before the next is built, so a collection
@@ -487,11 +481,12 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for _, raw in chunk:
-            try:
-                out.append(("", per_line(raw, *args)))
-            except TeachcutError as exc:
-                out.append((str(exc), None))
+        with np.errstate(all="ignore"):
+            for _, raw in chunk:
+                try:
+                    out.append(("", per_line(raw, *args)))
+                except TeachcutError as exc:
+                    out.append((str(exc), None))
     finally:
         if enabled:  # the caller's state, also when a line aborts the chunk
             gc.enable()
@@ -599,10 +594,10 @@ def _transfer_line(raw: bytes, floats: np.ndarray, segments: SegmentIndex,
     # is only echoed, by _write_release
     num_tokens = segments.num_tokens
     decision = _transferred_release(decided, segments)
-    result = _reweight(floats[:num_tokens], floats[num_tokens:],
-                       build_prefix_mask(segments, decision, num_tokens),
-                       decision)
-    return _encode_release(span, result)
+    mask = build_prefix_mask(segments, decision, num_tokens)
+    rescaled, scale = rescale_advantages(floats[:num_tokens],
+                                         floats[num_tokens:], mask)
+    return _encode_release(span, ReleaseResult(mask, scale, rescaled, decision))
 
 
 def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,

@@ -69,7 +69,7 @@ def fixed_prefix_mask(response_len: int, prefix_tokens: int) -> np.ndarray:
     """1.0 on the first prefix_tokens positions, 0.0 after."""
     _check_int("prefix_tokens", prefix_tokens, 1)
     mask = np.zeros(response_len)
-    mask[: min(prefix_tokens, response_len)] = 1.0
+    mask[:prefix_tokens] = 1.0
     return mask
 
 

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from teachcut import pipeline
+from teachcut import generate_rollout, pipeline, rollout_to_obj
 from teachcut.cli import main
 
-from helpers import no_reading, snapshot
+from helpers import no_reading, reshaped_topk, snapshot, to_line
 
 
 def run(argv):
@@ -394,3 +396,61 @@ def test_a_run_without_a_pool_loads_no_pool_modules(tmp_path, dataset):
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[]\n"
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def _hostile_input(path):
+    # rows of 2 and 3 candidates under --top-k 4, advantages whose squares
+    # overflow in a worker's bin partials, and a line that is not JSON
+    lines = []
+    for i in range(24):
+        record, _ = generate_rollout(np.linspace(1, 0, 10), noise_std=0.3,
+                                     tokens_per_segment=10, seed=1, index=i)
+        obj = rollout_to_obj(record)
+        if i % 3 == 1:
+            obj = reshaped_topk(obj, {2: 2 + i % 2, 7: 2})
+        if i % 7 == 3:
+            obj["student_logp"][2] = -1.7e308  # in bin 0
+        lines.append(to_line(obj))
+        if i == 12:
+            lines.append(b"not json")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path)
+
+
+def test_stderr_does_not_depend_on_jobs(tmp_path, monkeypatch, capfd):
+    # several chunks, so that --jobs 2 runs them on two pool workers; warnings
+    # print to stderr once per location and process, as in a plain run
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 16)
+    source = _hostile_input(tmp_path / "in.jsonl")
+    assert os.path.getsize(source) > 4 << 16
+    runs = {"bic": ["release", "--top-k", "4"],
+            "random": ["release", "--top-k", "4", "--strategy", "random",
+                       "--seed", "3"],
+            "permute": ["permute", "--seed", "5"],
+            "diagnose": ["diagnose", "--top-k", "4"]}
+    seen = {}
+    for jobs in ("1", "2"):
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.{jobs}"
+            src = str(tmp_path / f"bic.{jobs}") if name == "permute" else source
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                warnings.showwarning = _print_warning
+                assert main([*argv, "--in", src, "--out", str(out),
+                             "--jobs", jobs]) == 0
+            err = capfd.readouterr().err.replace(str(out), "OUT")
+            outputs = ([(out / csv_name).read_bytes() for csv_name in
+                        ("bins.csv", "margin_bins.csv", "summary.csv")]
+                       if name == "diagnose" else out.read_bytes())
+            seen.setdefault(name, []).append((err, outputs))
+    for name, (one, two) in seen.items():
+        assert one[0] == two[0], name
+        assert one[1] == two[1], name
+    err = seen["diagnose"][0][0]
+    assert "first non-empty bin has non-finite std" in err
+    assert "diagnose: 24 records, 24 accepted, 1 errors" in err

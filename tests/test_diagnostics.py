@@ -18,9 +18,9 @@ from reference import release_improves_by_moments
 
 
 def test_bins_split_by_normalized_position():
-    stats = binned_advantage_stats([np.array([0.0, 0.0, 2.0, 2.0])], num_bins=2)
+    stats = binned_advantage_stats([np.array([0.0, 2.0, 2.0, 4.0])], num_bins=2)
     np.testing.assert_array_equal(stats.bin_count, [2, 2])
-    np.testing.assert_array_equal(stats.bin_mean, [0.0, 2.0])
+    np.testing.assert_array_equal(stats.bin_mean, [1.0, 3.0])
 
 
 def test_bins_pool_across_series():
@@ -31,16 +31,25 @@ def test_bins_pool_across_series():
     assert stats.bin_std[0] == 1.0  # population std
 
 
-def test_odd_lengths_partition_all_tokens():
-    stats = binned_advantage_stats([np.arange(3.0)], num_bins=2)
-    np.testing.assert_array_equal(stats.bin_count, [2, 1])
-    assert stats.bin_mean[0] == 0.5
-    assert stats.bin_mean[1] == 2.0
+@pytest.mark.parametrize("num_bins, counts", [
+    (2, [2, 1]),
+    # T = 1, B - 1, B, B + 1 and 3B - 1 tokens over B = 4 bins
+    (4, [1, 0, 0, 0]), (4, [1, 1, 1, 0]), (4, [1, 1, 1, 1]), (4, [2, 1, 1, 1]),
+    (4, [3, 3, 3, 2])])
+def test_odd_lengths_partition_all_tokens(num_bins, counts):
+    # token t of T lands in bin (B t) // T: in order, and never past B - 1
+    acc = BinAccumulator(num_bins)
+    acc.add_series(np.arange(float(sum(counts))))
+    np.testing.assert_array_equal(acc.counts, counts)
+    ends = np.cumsum(counts)
+    np.testing.assert_array_equal(
+        acc.sums, [sum(range(end - n, end)) for n, end in zip(counts, ends)])
 
 
 def test_short_series_leave_trailing_bins_empty():
-    stats = binned_advantage_stats([np.array([5.0])], num_bins=2)
-    np.testing.assert_array_equal(stats.bin_count, [1, 0])
+    stats = binned_advantage_stats([np.array([4.0]), np.array([6.0])],
+                                   num_bins=2)
+    np.testing.assert_array_equal(stats.bin_count, [2, 0])
     assert math.isnan(stats.bin_mean[1])
     assert math.isnan(stats.bin_std[1])
 
@@ -51,9 +60,15 @@ def test_normalized_std_uses_first_nonempty_bin():
     np.testing.assert_allclose(stats.normalized_std, [1.0, 2.0])
 
 
-def test_zero_base_std_warns_and_leaves_nan():
-    with pytest.warns(RuntimeWarning, match="zero std"):
-        stats = binned_advantage_stats([np.array([1.0, 1.0, 1.0, 5.0])],
+@pytest.mark.parametrize("bin0, kind", [
+    ([1.0, 1.0], "zero"),
+    ([1e155, -1e155], "non-finite"),  # the sum of squares overflows: std inf
+    ([math.inf, 1.0], "non-finite"),  # mean inf, std NaN
+])
+def test_zero_base_std_warns_and_leaves_nan(bin0, kind):
+    with np.errstate(over="ignore"), pytest.warns(
+            RuntimeWarning, match=f"first non-empty bin has {kind} std"):
+        stats = binned_advantage_stats([np.array([*bin0, 1.0, 5.0])],
                                        num_bins=2)
     assert all(math.isnan(v) for v in stats.normalized_std)
 
@@ -77,9 +92,17 @@ def test_margin_curve_frozen_linspace_case():
     assert curve.bin_mean[1] == pytest.approx(49.0 / 149.0, abs=1e-12)
 
 
-def test_margin_curve_zero_base_mean_warns():
-    with pytest.warns(RuntimeWarning, match="zero mean"):
-        curve = binned_margin_curve([np.array([0.0, 0.0, 1.0, 1.0])], num_bins=2)
+@pytest.mark.parametrize("bin0, kind", [
+    ([-1.0, 1.0], "zero"),
+    ([math.inf, 1.0], "non-finite"),
+    ([math.nan, 1.0], "non-finite"),
+])
+def test_margin_curve_zero_base_mean_warns(bin0, kind):
+    # a non-finite mean makes the std non-finite too, which warns as well
+    with pytest.warns(RuntimeWarning) as caught:
+        curve = binned_margin_curve([np.array([*bin0, 1.0, 1.0])], num_bins=2)
+    messages = {str(w.message).split(";")[0] for w in caught}
+    assert f"first non-empty bin has {kind} mean" in messages
     assert all(math.isnan(v) for v in curve.bin_mean)
 
 
@@ -198,12 +221,13 @@ def _read_csv(path):
 
 
 def test_bins_csv_round_trip(tmp_path):
-    stats = binned_advantage_stats([np.array([5.0])], num_bins=2)
+    stats = binned_advantage_stats([np.array([4.0]), np.array([6.0])],
+                                   num_bins=2)
     path = tmp_path / "bins.csv"
     write_bins_csv(stats, str(path))
     rows = _read_csv(path)
     assert rows[0] == ["bin", "count", "mean", "std", "normalized_std"]
-    assert rows[1][:3] == ["0", "1", "5.0"]
+    assert rows[1] == ["0", "2", "5.0", "1.0", "1.0"]
     assert rows[2] == ["1", "0", "", "", ""]  # NaN renders as empty cells
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ def build(teacher_rows, ids_rows=None):
 
 def reference_margin(ids_rows, teacher_rows, support_size):
     """One row at a time: rank the row's first min(support_size, length)
-    candidates by teacher log-prob, ties by ascending id; the support of the
-    shortest row."""
+    candidates by teacher log-prob, ties by ascending id."""
     num_positions = len(teacher_rows)
     values = np.empty(num_positions)
     for t, (ids, te) in enumerate(zip(ids_rows, teacher_rows)):
@@ -31,8 +31,7 @@ def reference_margin(ids_rows, teacher_rows, support_size):
         te = np.asarray(te[:w], dtype=np.float64)
         order = np.lexsort((np.asarray(ids[:w], dtype=np.int64), -te))
         values[t] = te[order[0]] - te[order[1]]
-    used = min(support_size, min(map(len, teacher_rows)))
-    return values, used
+    return values
 
 
 def test_margin_is_top1_minus_top2():
@@ -54,9 +53,10 @@ def test_teacher_tie_gives_zero_margin():
     assert series.values[0] == 0.0
 
 
-def test_support_larger_than_rows_clamps_with_warning():
+def test_support_larger_than_rows_uses_every_candidate():
     cands = build([[-0.1, -0.9]])
-    with pytest.warns(RuntimeWarning, match="clamping"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         series = teacher_top2_margin(cands, support_size=4)
     assert series.values[0] == pytest.approx(0.8)
 
@@ -89,8 +89,7 @@ def test_empty_candidates():
 
 def test_ragged_rows_use_per_row_support():
     cands = build([[-0.1, -0.5, -0.2], [-1.0, -3.5]])
-    with pytest.warns(RuntimeWarning, match="clamping"):
-        series = teacher_top2_margin(cands, support_size=3)
+    series = teacher_top2_margin(cands, support_size=3)
     np.testing.assert_allclose(series.values, [0.1, 2.5])
     np.testing.assert_array_equal(cands.row_lengths(), [3, 2])
 
@@ -116,13 +115,9 @@ def test_margin_matches_per_row_reference(data):
         ids_rows.append(data.draw(st.lists(st.integers(0, 50), min_size=length,
                                            max_size=length, unique=True)))
     cands = build(teacher_rows, ids_rows)
-    values, used = reference_margin(ids_rows, teacher_rows, support)
-    if used < support:
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            series = teacher_top2_margin(cands, support_size=support)
-    else:
-        series = teacher_top2_margin(cands, support_size=support)
-    np.testing.assert_array_equal(series.values, values)
+    series = teacher_top2_margin(cands, support_size=support)
+    np.testing.assert_array_equal(series.values, reference_margin(
+        ids_rows, teacher_rows, support))
 
 
 @settings(max_examples=60)

@@ -680,8 +680,9 @@ def test_batches_restore_gc_state(tmp_path, enabled):
                                PipelineConfig(jobs=1))
         assert (report.num_records, report.num_errors) == (1, 2)
         assert gc.isenabled() is enabled
-        result = diagnose_batch(src, str(tmp_path / "diag"),
-                                PipelineConfig(jobs=1))
+        with pytest.warns(RuntimeWarning, match="zero std"):  # one record
+            result = diagnose_batch(src, str(tmp_path / "diag"),
+                                    PipelineConfig(jobs=1))
         assert result.report.num_errors == 2
         assert gc.isenabled() is enabled
 
