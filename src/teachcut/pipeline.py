@@ -347,9 +347,11 @@ def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
     Pooled when jobs > 1 and there is a second chunk; a single chunk runs in
     this process, which saves starting and stopping the pool. The pool
     starts one worker per chunk up to jobs, and at most jobs * 2 chunks are
-    out at workers, one running and one queued per worker. Beyond those
-    chunks, this process holds only the pool's pickled copy of the chunk it
-    is sending and the results not yet written.
+    out at workers, one running and one queued per worker. The first chunks,
+    read to size the pool, go straight into that window and leave with it,
+    so each chunk is freed once its result is consumed. Beyond those chunks,
+    this process holds only the pool's pickled copy of the chunk it is
+    sending and the results not yet written.
     """
     chunks = iter(chunks)
     head = list(islice(chunks, jobs)) if jobs > 1 else []
@@ -360,9 +362,10 @@ def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
     # imported here: a run that starts no pool loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=len(head)) as pool:
-        pending: deque = deque()
+        pending = deque((chunk, pool.submit(worker, chunk)) for chunk in head)
+        del head
         try:
-            for chunk in chain(head, chunks):
+            for chunk in chunks:
                 pending.append((chunk, pool.submit(worker, chunk)))
                 if len(pending) >= jobs * 2:
                     chunk, future = pending.popleft()
@@ -662,9 +665,22 @@ def _diagnose_line(raw: bytes, config: PipelineConfig,
     # order, so the bins do not depend on how the input was chunked
     record = parse_rollout_line(raw, probs=config.probs)
     margins, segments, _, decision = _analyze(record, config)
-    return (_series_bins(sampled_advantage(record), config.num_bins),
-            _series_bins(margins.values, config.num_bins),
+    return (_record_bins(sampled_advantage(record), config.num_bins,
+                         "advantage"),
+            _record_bins(margins.values, config.num_bins, "margin"),
             _summary_row(decision, segments, record.num_tokens))
+
+
+def _record_bins(values: np.ndarray, num_bins: int, field: str) -> tuple:
+    """_series_bins of one of the record's series. A bin sum or sum of squares
+    past float range would leave the batch's bins without a normalized_std,
+    so it rejects the record at the first token whose square is not finite."""
+    bins = _series_bins(values, num_bins)
+    if not np.isfinite(bins[1:]).all():
+        bad = np.flatnonzero(~np.isfinite(values * values))
+        raise RecordValidationError("bin sum past float range", field=field,
+                                    position=int(bad[0]) if bad.size else None)
+    return bins
 
 
 def diagnose_batch(input_path: str, out_dir: str,

@@ -1,6 +1,8 @@
 """Hostile lines in a non-strict batch: each one passes or is one error on
 its own line, and every other line's output stays as it was."""
 
+import json
+
 import pytest
 
 from teachcut import pipeline
@@ -44,6 +46,25 @@ def bic_gain(value):
     return make
 
 
+def edited(edit):
+    """The twin decoded, changed in place by edit, and encoded again."""
+    def make(base):
+        obj = json.loads(base)
+        edit(obj)
+        return dumps_obj(obj)
+    return make
+
+
+def runner_ups_at(value, tokens):
+    """An edit that sets the tokens' runner-up teacher log-probs to value, so
+    that each one's margin, top-1 minus top-2, is about -value."""
+    def edit(obj):
+        for t in tokens:
+            row = obj["topk"]["teacher_logp"][t]
+            row[1:] = [value] * (len(row) - 1)
+    return edit
+
+
 DEEP = b"[" * 2000 + b"0" + b"]" * 2000
 
 # (name, maker of the hostile line from the twin's line, the commands that
@@ -73,6 +94,14 @@ CORPUS = [
      first_member(b"release", b'{"accepted":false,"bic_gain":1e999}'), ()),
     ("bic_gain_past_float_range", bic_gain(b"9" * 400), ("permute",)),
     ("string_of_10_mb", first_member(b"extra", b'"' + b"a" * 10**7 + b'"'), ()),
+    # margins whose bin sum of squares overflows, from one square past float
+    # range or two in bin 0 that sum past it: release writes them, but in
+    # diagnose they would leave bin 0 without a std and every bin without a
+    # normalized_std
+    ("margin_square_past_float_range",
+     edited(runner_ups_at(-1.7e308, [0])), ("diagnose",)),
+    ("margin_squares_summing_past_float_range",
+     edited(runner_ups_at(-1e154, [0, 1])), ("diagnose",)),
 ]
 
 
@@ -140,3 +169,23 @@ def test_a_hostile_line_passes_or_is_one_error_on_its_line(
                 del output[2]
                 with_twin = with_twin[:2] + with_twin[3:]
             assert output == with_twin, command
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_advantage_square_past_float_range_is_rejected_on_its_line(
+        tmp_path, monkeypatch, baselines, jobs):
+    # no CORPUS row: random and permute reject the line only in pass 2, once
+    # it has taken part in the permutation, so the other lines' output is
+    # that of the run with the twin, not of the run without it
+    if jobs > 1:
+        monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
+    make = edited(lambda obj: obj["student_logp"].__setitem__(0, -1.7e308))
+    for command, error in (
+            ("diagnose", "advantage at position 0: bin sum past float range"),
+            ("bic", "release.rescaled_advantages at position 0: "
+                    "rescaled advantage not finite")):
+        base, without, _ = baselines[command]
+        output, errors = run(command, [*base[:2], make(base[2]), base[3]],
+                             tmp_path, jobs)
+        assert errors == ((HOSTILE_LINE_NUMBER, f"line 3: {error}"),), command
+        assert output == without, command

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import tempfile
+import weakref
 from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
@@ -311,26 +312,37 @@ def test_chunks_end_at_the_first_line_reaching_the_budget(tmp_path,
         [30, 50, 10, 250], [40, 60], [5, 90, 20], [99, 2], [100], [7]]
 
 
+class _Chunk(list):
+    """A chunk that can be weakly referenced, so a test can count the live
+    ones."""
+
+
 def _stub_worker(item):
     return -item
 
 
 def test_map_chunks_bounds_the_chunks_in_flight(monkeypatch):
     pools = count_pools(monkeypatch)
-    jobs, pulled, consumed, in_flight = 2, [], [], []
+    jobs, pulled, consumed, in_flight, alive = 2, [], [], [], []
 
     def items():
         for item in range(40):
-            pulled.append(item)
+            chunk = _Chunk([item])
+            pulled.append(weakref.ref(chunk))
             in_flight.append(len(pulled) - len(consumed))
-            yield item
+            yield chunk
 
-    for item, result in pipeline._map_chunks(items(), _stub_worker, jobs):
-        assert result == -item
-        consumed.append(item)
+    for chunk, result in pipeline._map_chunks(items(), sum, jobs):
+        assert result == chunk[0]
+        consumed.append(chunk[0])
+        del chunk
+        alive.append(sum(ref() is not None for ref in pulled))
     assert consumed == list(range(40))
     assert len(pools) == 1
     assert max(in_flight) == jobs * 2
+    # the window is all this process keeps: the first chunks, read to size
+    # the pool, are freed once consumed like every other chunk
+    assert max(alive) <= jobs * 2
 
 
 def test_strict_abort_on_a_pool_cancels_the_pending_chunks(tmp_path,
