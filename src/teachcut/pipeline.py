@@ -204,20 +204,13 @@ _UNTESTED = ChangeDecision(release_segment=-1, accepted=False, bic_gain=0.0,
 def _encode_release(span: tuple[int, int], result: ReleaseResult,
                     ) -> tuple[tuple[tuple[int, int], bytes], bool]:
     """((span, the encoded release object), accepted), as _splice_release
-    takes it. JSON has no form for inf or NaN, so a record whose reweighting
-    overflows is rejected rather than written with a stand-in."""
+    takes it."""
     decision = result.decision
-    rescaled = result.rescaled_advantages
-    finite = np.isfinite(rescaled)
-    if not finite.all():
-        raise RecordValidationError("rescaled advantage not finite",
-                                    field="release.rescaled_advantages",
-                                    position=int(np.argmax(~finite)))
     body = dumps_obj({"accepted": decision.accepted,
                       "release_segment": decision.release_segment,
                       "bic_gain": decision.bic_gain, "scale": result.scale,
                       "prefix_mask": result.prefix_mask,
-                      "rescaled_advantages": rescaled})
+                      "rescaled_advantages": result.rescaled_advantages})
     if span[0] == span[1]:  # a JSON value is never empty: a new member
         body = b',"release":' + body
     return (span, body), decision.accepted
@@ -471,9 +464,7 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
                *args: Any) -> list[tuple[str, Any]]:
     """("", per_line(raw, *args)) for each line of a chunk, or (the error's
     text, None) for a line that raised a TeachcutError. The text names no
-    line; _BatchTally.record_error adds that. Floating-point warnings are
-    off, so stderr is the same at any --jobs: each non-finite value is
-    judged where it lands, by _encode_release or in diagnose's CSV.
+    line; _BatchTally.record_error adds that.
 
     The chunk runs with the collector paused: refcounting frees each line's
     decoded tree, which is acyclic, before the next is built, so a collection
@@ -484,12 +475,11 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with np.errstate(all="ignore"):
-            for _, raw in chunk:
-                try:
-                    out.append(("", per_line(raw, *args)))
-                except TeachcutError as exc:
-                    out.append((str(exc), None))
+        for _, raw in chunk:
+            try:
+                out.append(("", per_line(raw, *args)))
+            except TeachcutError as exc:
+                out.append((str(exc), None))
     finally:
         if enabled:  # the caller's state, also when a line aborts the chunk
             gc.enable()
@@ -665,22 +655,9 @@ def _diagnose_line(raw: bytes, config: PipelineConfig,
     # order, so the bins do not depend on how the input was chunked
     record = parse_rollout_line(raw, probs=config.probs)
     margins, segments, _, decision = _analyze(record, config)
-    return (_record_bins(sampled_advantage(record), config.num_bins,
-                         "advantage"),
-            _record_bins(margins.values, config.num_bins, "margin"),
+    return (_series_bins(sampled_advantage(record), config.num_bins),
+            _series_bins(margins.values, config.num_bins),
             _summary_row(decision, segments, record.num_tokens))
-
-
-def _record_bins(values: np.ndarray, num_bins: int, field: str) -> tuple:
-    """_series_bins of one of the record's series. A bin sum or sum of squares
-    past float range would leave the batch's bins without a normalized_std,
-    so it rejects the record at the first token whose square is not finite."""
-    bins = _series_bins(values, num_bins)
-    if not np.isfinite(bins[1:]).all():
-        bad = np.flatnonzero(~np.isfinite(values * values))
-        raise RecordValidationError("bin sum past float range", field=field,
-                                    position=int(bad[0]) if bad.size else None)
-    return bins
 
 
 def diagnose_batch(input_path: str, out_dir: str,

@@ -26,6 +26,9 @@ import orjson
 
 # Floor applied when --probs converts probabilities to logs.
 PROB_FLOOR = 1e-12
+# Least log-probability a record may hold: every advantage and margin then
+# lies within +-1e100, so no square, rescale or batch sum passes float range.
+LOGP_FLOOR = -1e100
 
 
 class TeachcutError(Exception):
@@ -264,15 +267,18 @@ def _float_array(values: list, field: str) -> np.ndarray:
                                     field=field) from None
 
 
-def _check_logp(arr: np.ndarray, field: str) -> None:
-    finite = np.isfinite(arr)
-    if not finite.all():
-        raise RecordValidationError("log-probability not finite", field=field,
-                                    position=_first_true(~finite))
-    positive = arr > 0.0
-    if positive.any():
-        raise RecordValidationError("log-probability > 0", field=field,
-                                    position=_first_true(positive))
+def _check_logp(arr: np.ndarray, field: str,
+                ends: np.ndarray | None = None) -> None:
+    """Raise unless each log-probability lies in [LOGP_FLOOR, 0]; the error
+    names the first bad entry, or its row given flat top-K rows' ``ends``."""
+    if LOGP_FLOOR <= arr.min() and arr.max() <= 0.0:  # a NaN fails both
+        return
+    for bad, message in ((~np.isfinite(arr), "not finite"), (arr > 0.0, "> 0"),
+                         (arr < LOGP_FLOOR, f"below {LOGP_FLOOR:g}")):
+        if bad.any():
+            raise RecordValidationError(
+                f"log-probability {message}", field=field,
+                position=_first_true(bad) if ends is None else _row_of(ends, bad))
 
 
 def _rows_array(rows: Any, typecode: str) -> tuple[np.ndarray, list[int]]:
@@ -337,19 +343,19 @@ def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool) -> TopKCandida
     if probs:
         student = np.log(np.maximum(student, PROB_FLOOR))
         teacher = np.log(np.maximum(teacher, PROB_FLOOR))
-    _check_logp(student, "topk.student_logp")
-    _check_logp(teacher, "topk.teacher_logp")
-    _check_student_order(ids, student, lengths)
+    ends = np.cumsum(lengths)
+    _check_logp(student, "topk.student_logp", ends)
+    _check_logp(teacher, "topk.teacher_logp", ends)
+    _check_student_order(ids, student, ends)
     return TopKCandidates(ids, student, teacher, lengths)
 
 
 def _check_student_order(ids: np.ndarray, student: np.ndarray,
-                         lengths: np.ndarray) -> None:
+                         ends: np.ndarray) -> None:
     # top-K ordering: student_logp non-increasing, exact ties by ascending id.
     # Checked on the flat rows: the diff of each pair that crosses a row
     # boundary is set to -inf, neither a rise nor a tie. Every row holds at
     # least 2 candidates, so those pairs are distinct.
-    ends = np.cumsum(lengths)
     diff = np.diff(student)
     diff[ends[:-1] - 1] = -np.inf
     rise = diff > 0.0
@@ -364,9 +370,10 @@ def _check_student_order(ids: np.ndarray, student: np.ndarray,
             field="topk.ids", position=_row_of(ends, bad))
 
 
-def _row_of(ends: np.ndarray, pairs: np.ndarray) -> int:
-    """The row holding the first flagged pair of a flat diff."""
-    return int(np.searchsorted(ends, _first_true(pairs), side="right"))
+def _row_of(ends: np.ndarray, flags: np.ndarray) -> int:
+    """The row holding the first flagged entry of flat rows, or the first
+    entry of the first flagged pair of their diff."""
+    return int(np.searchsorted(ends, _first_true(flags), side="right"))
 
 
 def _segments_from_obj(raw: Any, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:

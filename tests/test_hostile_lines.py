@@ -3,13 +3,15 @@ its own line, and every other line's output stays as it was."""
 
 import json
 
+import numpy as np
 import pytest
 
 from teachcut import pipeline
 from teachcut.pipeline import (PipelineConfig, diagnose_batch, permute_batch,
                                process_batch)
 from teachcut.records import dumps_obj, rollout_to_obj
-from teachcut.synthetic import SyntheticConfig, generate_piecewise_rollout
+from teachcut.synthetic import (SyntheticConfig, generate_piecewise_rollout,
+                                generate_rollout)
 
 COMMANDS = ("bic", "full", "fixed:7", "random", "permute", "diagnose")
 CSVS = ("bins.csv", "margin_bins.csv", "summary.csv")
@@ -94,14 +96,15 @@ CORPUS = [
      first_member(b"release", b'{"accepted":false,"bic_gain":1e999}'), ()),
     ("bic_gain_past_float_range", bic_gain(b"9" * 400), ("permute",)),
     ("string_of_10_mb", first_member(b"extra", b'"' + b"a" * 10**7 + b'"'), ()),
-    # margins whose bin sum of squares overflows, from one square past float
-    # range or two in bin 0 that sum past it: release writes them, but in
-    # diagnose they would leave bin 0 without a std and every bin without a
-    # normalized_std
+    # log-probabilities below LOGP_FLOOR, whose advantage or margin squares
+    # would pass float range, alone or summed in bin 0
+    ("advantage_square_past_float_range",
+     edited(lambda obj: obj["student_logp"].__setitem__(0, -1.7e308)),
+     COMMANDS),
     ("margin_square_past_float_range",
-     edited(runner_ups_at(-1.7e308, [0])), ("diagnose",)),
+     edited(runner_ups_at(-1.7e308, [0])), COMMANDS),
     ("margin_squares_summing_past_float_range",
-     edited(runner_ups_at(-1e154, [0, 1])), ("diagnose",)),
+     edited(runner_ups_at(-1e154, [0, 1])), COMMANDS),
 ]
 
 
@@ -172,20 +175,26 @@ def test_a_hostile_line_passes_or_is_one_error_on_its_line(
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_an_advantage_square_past_float_range_is_rejected_on_its_line(
-        tmp_path, monkeypatch, baselines, jobs):
-    # no CORPUS row: random and permute reject the line only in pass 2, once
-    # it has taken part in the permutation, so the other lines' output is
-    # that of the run with the twin, not of the run without it
+def test_margins_whose_squares_sum_past_float_range_over_records_are_rejected(
+        tmp_path, monkeypatch, jobs):
+    # no CORPUS row: it takes two hostile lines. Each has token 0's runner-ups
+    # at -1e154, a margin square of about 1e308 that is finite alone, but the
+    # two would sum past float range in diagnose's batch bin 0
     if jobs > 1:
         monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
-    make = edited(lambda obj: obj["student_logp"].__setitem__(0, -1.7e308))
-    for command, error in (
-            ("diagnose", "advantage at position 0: bin sum past float range"),
-            ("bic", "release.rescaled_advantages at position 0: "
-                    "rescaled advantage not finite")):
-        base, without, _ = baselines[command]
-        output, errors = run(command, [*base[:2], make(base[2]), base[3]],
-                             tmp_path, jobs)
-        assert errors == ((HOSTILE_LINE_NUMBER, f"line 3: {error}"),), command
+    lines = [dumps_obj(rollout_to_obj(generate_rollout(
+        np.linspace(1, 0, 6), tokens_per_segment=10, noise_std=0.3, seed=1,
+        index=i)[0])) for i in range(4)]
+    released, errors = run("bic", lines, tmp_path, jobs)
+    assert not errors
+    make = edited(runner_ups_at(-1e154, [0]))
+    expected = tuple((n, f"line {n}: topk.teacher_logp at position 0: "
+                         "log-probability below -1e+100") for n in (2, 3))
+    for command in COMMANDS:
+        base = released if command == "permute" else lines
+        without, errors = run(command, [base[0], base[3]], tmp_path, jobs)
+        assert not errors
+        output, errors = run(command, [base[0], make(base[1]), make(base[2]),
+                                       base[3]], tmp_path, jobs)
+        assert errors == expected, command
         assert output == without, command

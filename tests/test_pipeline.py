@@ -24,7 +24,7 @@ from teachcut.pipeline import (PipelineConfig, _member_value_span,
                                _release_span, diagnose_batch,
                                dynamic_prefix_reweight, permute_batch,
                                process_batch)
-from teachcut.records import (DataProcessingError, TeachcutError,
+from teachcut.records import (LOGP_FLOOR, DataProcessingError, TeachcutError,
                               dumps_obj, iter_jsonl_lines, parse_rollout_line,
                               rollout_from_obj, rollout_to_obj,
                               sampled_advantage)
@@ -185,10 +185,10 @@ def test_failsoft_skips_bad_lines(tmp_path, caplog):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_release_is_rejected(tmp_path):
-    # A legal record whose kept loss mass is tiny: the rescale factor
-    # (3 / 1e-8) times a huge advantage overflows. JSON has no inf, so the
-    # record is rejected on its line instead of written as null or Infinity;
-    # that rejection is the only report (no numpy warning at jobs=1).
+    # A record whose kept loss mass is tiny: the rescale factor (3 / 1e-8)
+    # times an advantage of 1.7e308 would overflow, and JSON has no inf. Its
+    # log-probability lies below LOGP_FLOOR, so validation rejects it on its
+    # line; that rejection is the only report (no numpy warning at jobs=1).
     obj = valid_obj()
     obj["student_logp"][0] = -1.7e308
     obj["loss_mask"][0] = 1e-300
@@ -198,14 +198,78 @@ def test_non_finite_release_is_rejected(tmp_path):
     config = PipelineConfig(strategy="fixed:1", jobs=1)
     report = process_batch(src, str(out), config)
     assert (report.num_records, report.num_errors) == (1, 1)
-    assert report.errors[0][1] == ("line 1: release.rescaled_advantages at "
-                                   "position 0: rescaled advantage not finite")
+    assert report.errors[0][1] == ("line 1: student_logp at position 0: "
+                                   "log-probability below -1e+100")
     assert len(read_objs(out)) == 1
 
     strict = replace(config, strict=True)
     with pytest.raises(DataProcessingError, match="aborting at line 1"):
         process_batch(src, str(out), strict)
     assert not out.exists()
+
+
+_LOGP = st.floats(LOGP_FLOOR, 0.0) | st.sampled_from([LOGP_FLOOR, 0.0])
+
+
+@st.composite
+def records_down_to_the_floor(draw):
+    """Valid records with log-probs anywhere in [LOGP_FLOOR, 0], top-K rows
+    of 2 to 4 candidates, loss masks down to 1e-300 and random segments."""
+    num_tokens = draw(st.integers(1, 6))
+
+    def per_token(values):
+        return draw(st.lists(values, min_size=num_tokens, max_size=num_tokens))
+
+    widths = per_token(st.integers(2, 4))
+    rows = [[draw(st.lists(_LOGP, min_size=width, max_size=width))
+             for width in widths] for _ in range(2)]
+    cuts = [t for t in range(1, num_tokens) if draw(st.booleans())]
+    return {"rollout_id": "r", "tokens": ["tok"] * num_tokens,
+            "teacher_logp": per_token(_LOGP), "student_logp": per_token(_LOGP),
+            "loss_mask": draw(st.lists(
+                st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(1e-300, 1.0),
+                min_size=num_tokens, max_size=num_tokens).filter(any)),
+            "topk": {"ids": [list(range(width)) for width in widths],
+                     "student_logp": [sorted(row, reverse=True)
+                                      for row in rows[0]],
+                     "teacher_logp": rows[1]},
+            "segments": [list(range(lo, hi)) for lo, hi in
+                         zip([0, *cuts], [*cuts, num_tokens])]}
+
+
+def _finite(value):
+    """Whether every number in a decoded JSON value is finite; orjson writes
+    a non-finite float as null."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return isinstance(value, (str, bool)) or (
+        isinstance(value, (int, float)) and math.isfinite(value))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(objs=st.lists(records_down_to_the_floor(), min_size=2, max_size=4))
+def test_records_down_to_the_floor_write_only_finite_numbers(objs, jobs):
+    # no value of a valid record passes float range: every release strategy
+    # and permute write finite numbers, with a RuntimeWarning an error here
+    # and, at jobs 2, in the forked pool workers. fixed:1 reaches the largest
+    # scale, sum(loss_mask) / RESCALE_EPS, when token 0's loss mask is tiny
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_CHUNK_BYTES", 1)  # a chunk per line
+        src = write_objs(Path(tmp) / "in.jsonl", objs)
+        released = os.path.join(tmp, "bic.jsonl")
+        for strategy in ("bic", "full", "fixed:1", "random", "permute"):
+            out = released if strategy == "bic" else os.path.join(tmp, "out")
+            if strategy == "permute":
+                report = permute_batch(released, out, PipelineConfig(jobs=jobs))
+            else:
+                report = process_batch(src, out, PipelineConfig(
+                    strategy=strategy, jobs=jobs))
+            assert (report.num_records, report.num_errors) == (len(objs), 0)
+            assert all(_finite(obj) for obj in read_objs(out)), strategy
 
 
 @pytest.mark.parametrize("kind", ["regular", "symlink", "device"])
@@ -876,8 +940,9 @@ def test_permute_rejects_prefix_mask_not_0_or_1(tmp_path, value):
 @pytest.mark.parametrize("strict", [False, True])
 def test_transfer_overflow_is_rejected_and_spill_removed(tmp_path,
                                                          monkeypatch, strict):
-    # as in test_non_finite_release_is_rejected, but the rescale overflows in
-    # pass 2, from the spilled arrays: a one-token first segment is kept
+    # as in test_non_finite_release_is_rejected, with a one-token first
+    # segment kept: validation rejects the line in pass 1, so it is never
+    # spilled, and strict mode aborts there, before line 2
     obj = valid_obj()
     obj["student_logp"][0] = -1.7e308
     obj["loss_mask"][0] = 1e-300
@@ -891,20 +956,16 @@ def test_transfer_overflow_is_rejected_and_spill_removed(tmp_path,
     out = tmp_path / "out.jsonl"
     config = PipelineConfig(strict=strict, jobs=1)
     if strict:
-        # the bad JSON on line 2 is met first, in pass 1
-        with pytest.raises(DataProcessingError, match="at line 2"):
-            permute_batch(src, str(out), config)
-        src = write_lines(tmp_path / "in.jsonl", [to_line(obj)])
         with pytest.raises(DataProcessingError,
-                           match="line 1: release.rescaled_advantages"):
+                           match="line 1: student_logp at position 0"):
             permute_batch(src, str(out), config)
         assert not out.exists()
     else:
         report = permute_batch(src, str(out), config)
         assert report.num_records == 0
         assert [message.split(":")[:2] for _, message in report.errors] == [
-            ["line 2", " invalid JSON"],
-            ["line 1", " release.rescaled_advantages at position 0"]]
+            ["line 1", " student_logp at position 0"],
+            ["line 2", " invalid JSON"]]
         assert out.read_bytes() == b""
     assert list(spill_dir.iterdir()) == []
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut.records import (PROB_FLOOR, DataProcessingError,
+from teachcut.records import (LOGP_FLOOR, PROB_FLOOR, DataProcessingError,
                               RecordParseError, RecordValidationError,
                               decode_line, iter_jsonl_lines,
                               parse_rollout_line, rollout_from_obj,
@@ -156,6 +156,36 @@ def test_nan_literal_reaches_field_validation():
     with pytest.raises(RecordValidationError, match="not finite") as info:
         parse_rollout_line(raw)
     assert info.value.field == "teacher_logp"
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.5, "log-probability > 0"),
+    (-1.000001e100, "log-probability below -1e+100"),
+    (float("nan"), "log-probability not finite"),
+    (float("-inf"), "log-probability not finite")])
+@pytest.mark.parametrize("key", ["student_logp", "teacher_logp"])
+def test_logp_range_errors_name_the_token(key, value, message):
+    # a sampled field's entry is its token; a top-K entry names its row, not
+    # its index among the flat candidates (7 for row 2, candidate 1)
+    obj = valid_obj()
+    obj[key][2] = value
+    with pytest.raises(RecordValidationError) as info:
+        parse_rollout_line(to_line(obj))
+    assert str(info.value) == f"{key} at position 2: {message}"
+    obj = valid_obj()
+    obj["topk"][key][2][1] = value
+    with pytest.raises(RecordValidationError) as info:
+        parse_rollout_line(to_line(obj))
+    assert str(info.value) == f"topk.{key} at position 2: {message}"
+
+
+@pytest.mark.parametrize("value", [LOGP_FLOOR, -1e9, -3.4028234663852886e38])
+def test_logp_down_to_the_floor_allowed(value):
+    # masked-candidate sentinels such as -1e9 or float32's least value pass
+    obj = valid_obj()
+    obj["teacher_logp"][0] = obj["student_logp"][3] = value
+    obj["topk"]["teacher_logp"][1][0] = obj["topk"]["student_logp"][2][2] = value
+    parse_rollout_line(to_line(obj))
 
 
 def test_length_mismatch_rejected():
