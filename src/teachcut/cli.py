@@ -5,7 +5,7 @@ into a usage error.
 
 Exit codes: 0 on success, 1 for usage problems, 2 when --strict aborts on bad
 data. Progress and batch reports go to stderr; only `snr` writes to stdout.
-The TEACHCUT_LOG environment variable sets the log level (DEBUG, INFO, ...).
+TEACHCUT_LOG=ERROR hides the only log output, each rejected line's warning.
 """
 
 from __future__ import annotations

@@ -76,37 +76,33 @@ class BinnedStats:
 
 def _finalize(acc: BinAccumulator, *, normalize_means: bool) -> BinnedStats:
     counts = acc.counts
-    empty = counts == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty bins: NaN
         mean = acc.sums / counts
         var = acc.sumsqs / counts - mean * mean
-    mean[empty] = np.nan
-    var = np.maximum(var, 0.0)
-    std = np.sqrt(var)
-    std[empty] = np.nan
-
-    # token 0 of every series lands in bin 0, the first non-empty bin
-    normalized_std = np.full(acc.num_bins, np.nan)
-    if 0.0 < std[0] < math.inf:
-        normalized_std = std / std[0]
-    else:
-        _warn_base("std", std[0], "normalized_std")
-
+    std = np.sqrt(np.maximum(var, 0.0))
+    normalized_std = _over_base(std, "std", "normalized_std")
     if normalize_means:
-        if math.isfinite(mean[0]) and mean[0] != 0.0:
-            mean = mean / mean[0]
-        else:
-            _warn_base("mean", mean[0], "normalized curve")
-            mean = np.full(acc.num_bins, np.nan)
-
+        mean = _over_base(mean, "mean", "normalized curve")
     return BinnedStats(acc.num_bins, counts.copy(), mean, std, normalized_std)
 
 
-def _warn_base(stat: str, value: float, result: str) -> None:
-    # bin 0's stat cannot divide: zero, or inf or NaN after an overflow
-    kind = "zero" if value == 0.0 else "non-finite"
-    warnings.warn(f"first non-empty bin has {kind} {stat}; {result} is "
-                  "undefined", RuntimeWarning, stacklevel=4)
+def _over_base(values: np.ndarray, stat: str, result: str) -> np.ndarray:
+    """values over bin 0's, the first non-empty bin as token 0 of every series
+    lands there; all NaN, with a warning that names the case, when bin 0's
+    value is zero or not finite or a ratio overflows."""
+    base = values[0]
+    with np.errstate(all="ignore"):
+        ratio = values / base
+    if base == 0.0 or not math.isfinite(base):
+        kind = "zero" if base == 0.0 else "non-finite"
+        problem = f"first non-empty bin has {kind} {stat}"
+    elif np.isinf(ratio).any():
+        problem = f"a ratio to the first non-empty bin's {stat} overflows"
+    else:
+        return ratio
+    warnings.warn(f"{problem}; {result} is undefined", RuntimeWarning,
+                  stacklevel=4)
+    return np.full(values.shape, np.nan)
 
 
 def _accumulate_batch(batch: Iterable[Any], num_bins: int) -> BinAccumulator:

@@ -16,16 +16,19 @@ each line on the pool and returns the record's decision as four scalars,
 plus the arrays the rewrite needs and their sizes. The main process keeps
 only the scalars and spills each valid line to an anonymous temporary file
 (the input's size plus about 24 bytes per token) as one record: a head of
-seven int64s (line number, line bytes, tokens, segments, segment token ids,
-release span, empty at the closing brace when there is no ``release`` key),
-the line, the sampled advantage and loss mask, and the segments' bounds and
-token ids. Pass 2 draws the permutation and rewrites the spill in order in
-the main process, without the pool; each record's decision is its source's,
-imposed on the record's segments by _transferred_release.
+six int64s (line bytes, tokens, segments, segment token ids, release span,
+empty at the closing brace when there is no ``release`` key), the line, the
+sampled advantage and loss mask, and the segments' bounds and token ids.
+Pass 2 draws the permutation and rewrites the spill in order in the main
+process, without the pool; each record's decision is its source's, imposed
+on the record's segments by _transferred_release. A line fails only in pass
+1, which counts it: pass 2, _rewrite, calls nothing that raises a
+TeachcutError, the spill's layout makes those calls' length checks hold,
+and validation's log-probability floor keeps every number written finite.
 
 A per-line function takes the raw line and returns a value or raises a
-TeachcutError, which _run_lines turns into that line's error text; only the
-main process, which reads the input, knows line numbers.
+TeachcutError, which _run_lines, the chunk worker, turns into that line's
+error text; only the main process, which reads the input, knows line numbers.
 """
 
 from __future__ import annotations
@@ -419,15 +422,16 @@ class _BatchTally:
 
     def passed(self, results: Iterable[tuple[list[tuple[int, bytes]],
                                               list[tuple[str, Any]]]],
-               ) -> Iterator[tuple[tuple[int, bytes], Any]]:
-        """((line_number, raw), value) for each line that passed, in order,
-        from (chunk, _run_lines results) pairs; each other line is an error."""
+               ) -> Iterator[tuple[bytes, Any]]:
+        """(raw, value) for each line that passed, counted, in order, from
+        (chunk, _run_lines results) pairs; each other line is an error."""
         for chunk, out in results:
-            for line, (error, value) in zip(chunk, out):
+            for (line_number, raw), (error, value) in zip(chunk, out):
                 if error:
-                    self.record_error(line[0], error)
+                    self.record_error(line_number, error)
                 else:
-                    yield line, value
+                    self.num_records += 1
+                    yield raw, value
 
     def report(self) -> BatchReport:
         rate = self.num_accepted / self.num_records if self.num_records else 0.0
@@ -435,10 +439,9 @@ class _BatchTally:
                            self.num_accepted, rate, tuple(self.errors))
 
 
-def _write_release(output_path: str,
-                   results: Iterable[tuple[list[tuple[int, bytes]], list[tuple]]],
+def _write_release(output_path: str, lines: Iterable[tuple[bytes, tuple]],
                    tally: _BatchTally) -> None:
-    """Write release lines from (chunk, _run_lines results) pairs in order.
+    """Write release lines from (raw, _encode_release value) pairs in order.
 
     Strict mode aborts on the first bad line and removes the partial output
     when it is a regular file: the file open() wrote, not a symlink that
@@ -448,9 +451,8 @@ def _write_release(output_path: str,
     regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     complete = False
     try:
-        for (_, raw), (encoded, accepted) in tally.passed(results):
+        for raw, (encoded, accepted) in lines:
             handle.write(_splice_release(raw, encoded))
-            tally.num_records += 1
             tally.num_accepted += bool(accepted)
         complete = True
     finally:
@@ -460,11 +462,11 @@ def _write_release(output_path: str,
                 os.unlink(os.path.realpath(output_path))
 
 
-def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
-               *args: Any) -> list[tuple[str, Any]]:
-    """("", per_line(raw, *args)) for each line of a chunk, or (the error's
-    text, None) for a line that raised a TeachcutError. The text names no
-    line; _BatchTally.record_error adds that.
+def _run_lines(chunk: Iterable[tuple[int, bytes]],
+               per_line: Callable[[bytes], Any]) -> list[tuple[str, Any]]:
+    """("", per_line(raw)) for each line of a chunk, or (the error's text,
+    None) for a line that raised a TeachcutError. The text names no line;
+    _BatchTally.record_error adds that.
 
     The chunk runs with the collector paused: refcounting frees each line's
     decoded tree, which is acyclic, before the next is built, so a collection
@@ -477,7 +479,7 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]], per_line: Callable[..., Any],
     try:
         for _, raw in chunk:
             try:
-                out.append(("", per_line(raw, *args)))
+                out.append(("", per_line(raw)))
             except TeachcutError as exc:
                 out.append((str(exc), None))
     finally:
@@ -513,8 +515,8 @@ def process_batch(input_path: str, output_path: str,
 
     worker = partial(_run_lines, per_line=partial(_release_line, config=config))
     tally = _BatchTally(config.strict)
-    _write_release(output_path,
-                   _map_chunks(_iter_chunks(input_path), worker, jobs), tally)
+    _write_release(output_path, tally.passed(
+        _map_chunks(_iter_chunks(input_path), worker, jobs)), tally)
     return tally.report()
 
 
@@ -522,9 +524,8 @@ def process_batch(input_path: str, output_path: str,
 # batch-level controls: random release and permutation of existing outputs
 
 
-# line number, line bytes, tokens, segments, segment token ids, and the
-# release span
-_SPILL_HEAD = struct.Struct("7q")
+# line bytes, tokens, segments, segment token ids, and the release span
+_SPILL_HEAD = struct.Struct("6q")
 
 
 def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
@@ -580,34 +581,26 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     return segments, accepted, retained, float(gain)
 
 
-def _transfer_line(raw: bytes, floats: np.ndarray, segments: SegmentIndex,
-                   span: tuple[int, int], decided: tuple[int, bool, int, float],
-                   ) -> tuple[tuple[tuple[int, int], bytes], bool]:
-    # pass 2: impose a source's decision on a spilled record; raw itself
-    # is only echoed, by _write_release
-    num_tokens = segments.num_tokens
-    decision = _transferred_release(decided, segments)
-    mask = build_prefix_mask(segments, decision, num_tokens)
-    rescaled, scale = rescale_advantages(floats[:num_tokens],
-                                         floats[num_tokens:], mask)
-    return _encode_release(span, ReleaseResult(mask, scale, rescaled, decision))
-
-
 def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
-             ) -> Iterator[tuple[list[tuple[int, bytes]], list[tuple]]]:
-    """Pass 2 as _write_release takes it: each spilled record, in order,
-    with the decision of the source the seeded permutation gives it."""
+             ) -> Iterator[tuple[bytes, tuple]]:
+    """Pass 2 as _write_release takes it: each spilled line, in order, with
+    the release of the decision the seeded permutation gives it from its
+    source, imposed on the line's segments. The line itself is only echoed."""
     read = spill.read
     for source in _release_sources(len(decided), config.random_seed):
-        (line_number, size, num_tokens, num_segments, num_ids, start,
+        (size, num_tokens, num_segments, num_ids, start,
          end) = _SPILL_HEAD.unpack(read(_SPILL_HEAD.size))
-        line = [(line_number, read(size))]
+        raw = read(size)
         floats = np.frombuffer(read(16 * num_tokens), np.float64)
         ints = np.frombuffer(read(8 * (num_segments + num_ids)), np.int64)
         segments = SegmentIndex._unchecked(ints[num_segments:],
                                            ints[:num_segments], num_tokens)
-        yield line, _run_lines(line, _transfer_line, floats, segments,
-                               (start, end), decided[source])
+        decision = _transferred_release(decided[source], segments)
+        mask = build_prefix_mask(segments, decision, num_tokens)
+        rescaled, scale = rescale_advantages(floats[:num_tokens],
+                                             floats[num_tokens:], mask)
+        yield raw, _encode_release((start, end), ReleaseResult(
+            mask, scale, rescaled, decision))
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
@@ -618,9 +611,9 @@ def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
     worker = partial(_run_lines, per_line=partial(_spill_line, config=config,
                                                   decide=decide))
     with tempfile.TemporaryFile() as spill:
-        for (line_number, raw), (scalars, head, arrays) in tally.passed(
+        for raw, (scalars, head, arrays) in tally.passed(
                 _map_chunks(_iter_chunks(input_path), worker, jobs)):
-            spill.write(_SPILL_HEAD.pack(line_number, len(raw), *head))
+            spill.write(_SPILL_HEAD.pack(len(raw), *head))
             spill.write(raw)
             spill.write(arrays)
             decided.append(scalars)
@@ -684,7 +677,6 @@ def diagnose_batch(input_path: str, out_dir: str,
         margin_total.add_bins(margin)
         rows.append(row)
 
-    tally.num_records = len(rows)
     tally.num_accepted = sum(1 for row in rows if row[0])
     if not rows:
         return DiagnoseResult(tally.report(), None, None, None, ())

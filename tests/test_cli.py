@@ -353,13 +353,43 @@ def test_diagnose_empty_input_reports(tmp_path, capsys):
     assert "nothing written" in capsys.readouterr().err
 
 
-def test_log_env_levels(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TEACHCUT_LOG", "DEBUG")
-    assert run(["snr", "--m-prefix", "1", "--v-prefix", "1",
-                "--m-suffix", "0", "--v-suffix", "0"]) == 0
-    monkeypatch.setenv("TEACHCUT_LOG", "not-a-level")
-    assert run(["snr", "--m-prefix", "1", "--v-prefix", "1",
-                "--m-suffix", "0", "--v-suffix", "0"]) == 0
+def _package_env(**overrides):
+    # the environment of a child Python that imports this package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(pipeline.__file__)),
+        env.get("PYTHONPATH")]))
+    env.pop("TEACHCUT_LOG", None)
+    env.update(overrides)
+    return env
+
+
+_MAIN = "import sys, teachcut.cli; sys.exit(teachcut.cli.main(sys.argv[1:]))"
+
+
+def test_log_env_levels(tmp_path, dataset):
+    # the only log record is each rejected line's warning: ERROR hides it
+    # and leaves the summary line, DEBUG prints what the default prints,
+    # and an unknown level is the default
+    src = tmp_path / "bad.jsonl"
+    src.write_bytes(Path(dataset).read_bytes() + b"{not json\n")
+
+    def stderr(**level):
+        done = subprocess.run(
+            [sys.executable, "-c", _MAIN, "release", "--in", str(src),
+             "--out", str(tmp_path / "out.jsonl")],
+            env=_package_env(**level), capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stderr
+
+    summary = "release: 4 records, 4 accepted, 1 errors\n"
+    default = stderr()
+    assert default.startswith("WARNING teachcut: line 5:")
+    assert default.endswith(summary) and default.count("\n") == 2
+    assert stderr(TEACHCUT_LOG="DEBUG") == default
+    assert stderr(TEACHCUT_LOG="not-a-level") == default
+    assert stderr(TEACHCUT_LOG="ERROR") == summary
 
 
 def test_help_lists_subcommands(capsys):
@@ -386,14 +416,10 @@ print(pool_modules())
 
 def test_a_run_without_a_pool_loads_no_pool_modules(tmp_path, dataset):
     # four records are one chunk, which runs in-process even at --jobs 2
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(pipeline.__file__)),
-        env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _POOL_MODULES, dataset,
          str(tmp_path / "out.jsonl")],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_package_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n[]\n"
 

@@ -92,17 +92,20 @@ def test_margin_curve_frozen_linspace_case():
     assert curve.bin_mean[1] == pytest.approx(49.0 / 149.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("bin0, kind", [
-    ([-1.0, 1.0], "zero"),
-    ([math.inf, 1.0], "non-finite"),
-    ([math.nan, 1.0], "non-finite"),
+@pytest.mark.parametrize("series, problem", [
+    ([-1.0, 1.0, 1.0, 1.0], "first non-empty bin has zero mean"),
+    ([math.inf, 1.0, 1.0, 1.0], "first non-empty bin has non-finite mean"),
+    ([math.nan, 1.0, 1.0, 1.0], "first non-empty bin has non-finite mean"),
+    # a finite, non-zero base whose ratio 1e400 is past float range
+    ([1e-300, 1e-300, 1e100, 1e100],
+     "a ratio to the first non-empty bin's mean overflows"),
 ])
-def test_margin_curve_zero_base_mean_warns(bin0, kind):
+def test_margin_curve_zero_base_mean_warns(series, problem):
     # a non-finite mean makes the std non-finite too, which warns as well
     with pytest.warns(RuntimeWarning) as caught:
-        curve = binned_margin_curve([np.array([*bin0, 1.0, 1.0])], num_bins=2)
+        curve = binned_margin_curve([np.array(series)], num_bins=2)
     messages = {str(w.message).split(";")[0] for w in caught}
-    assert f"first non-empty bin has {kind} mean" in messages
+    assert problem in messages
     assert all(math.isnan(v) for v in curve.bin_mean)
 
 

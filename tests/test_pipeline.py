@@ -517,6 +517,30 @@ def test_random_release_transfers_decisions(tmp_path):
     assert Path(other).read_bytes() != Path(rand_out).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_random_release_is_release_then_permute(tmp_path, monkeypatch, jobs):
+    # a guard: both draw one seeded permutation over the valid lines and
+    # give each line its source's BIC decision, so they write the same bytes
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 12)
+    builtin = planted_obj(4, noise=0.4, seed=9)
+    del builtin["segments"]  # segmented from its tokens
+    stale = planted_obj(5, noise=0.4, seed=9)
+    stale["release"] = {"accepted": "stale"}  # replaced, never read
+    objs = [ragged_obj(i) for i in range(4)] + [builtin, stale, flat_obj(6)]
+    lines = [to_line(obj) for obj in objs]
+    lines.insert(3, b"{not json")
+    src = write_lines(tmp_path / "in.jsonl", lines)
+    released, permuted, direct = (str(tmp_path / name) for name in
+                                  ("released", "permuted", "random"))
+    config = PipelineConfig(jobs=jobs, random_seed=5)
+    assert process_batch(src, released, config).num_errors == 1
+    assert permute_batch(released, permuted, config).num_errors == 0
+    report = process_batch(src, direct, replace(config, strategy="random"))
+    assert (report.num_records, report.num_errors) == (7, 1)
+    assert Path(direct).read_bytes() == Path(permuted).read_bytes()
+    assert Path(direct).read_bytes() != Path(released).read_bytes()
+
+
 def test_permute_batch_preserves_positions(tmp_path):
     objs = [planted_obj(i, noise=0.5, seed=2) for i in range(20)]
     src = write_objs(tmp_path / "in.jsonl", objs)
@@ -1014,6 +1038,24 @@ def test_diagnose_batch_outputs(tmp_path):
     assert result.margin_bins.bin_mean[0] == pytest.approx(1.0)
     assert result.margin_bins.bin_mean[-1] < 0.5
     assert int(result.advantage_bins.bin_count.sum()) == 4 * 60 + 6
+
+
+def test_diagnose_margin_curve_over_a_tiny_base_is_empty(tmp_path):
+    # margins 1e-300 in bin 0 and 1e100 in bin 1: the normalized curve's
+    # ratio 1e400 overflows, so the row is empty cells, not inf
+    obj = valid_obj()
+    obj["topk"]["teacher_logp"] = [[-1e-300, -2e-300, -1.0]] * 2 + [
+        [0.0, LOGP_FLOOR, LOGP_FLOOR]] * 2
+    src = write_objs(tmp_path / "in.jsonl", [obj])
+    with pytest.warns(RuntimeWarning) as caught:
+        result = diagnose_batch(src, str(tmp_path / "diag"),
+                                PipelineConfig(num_bins=2))
+    assert result.report.num_records == 1
+    assert ("a ratio to the first non-empty bin's mean overflows; "
+            "normalized curve is undefined") in {str(w.message) for w in caught}
+    text = (tmp_path / "diag" / "margin_bins.csv").read_text()
+    assert "inf" not in text
+    assert text.splitlines()[1:] == ["0,2,,0.0,", "1,2,,0.0,"]
 
 
 @pytest.mark.parametrize("chunk_bytes", [1 << 12, pipeline._CHUNK_BYTES])
