@@ -64,8 +64,7 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
 from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
                        _transferred_release, build_prefix_mask,
                        fixed_prefix_mask, rescale_advantages)
-from .segmentation import (SegmentIndex, SegmentScores, aggregate_segment_scores,
-                           segment_tokens)
+from .segmentation import SegmentIndex, aggregate_segment_scores, segment_tokens
 
 logger = logging.getLogger("teachcut")
 
@@ -164,16 +163,15 @@ def _segment_index_for(record: RolloutRecord, config: PipelineConfig) -> Segment
 
 
 def _analyze(record: RolloutRecord, config: PipelineConfig,
-             ) -> tuple[MarginSeries, SegmentIndex, SegmentScores, ChangeDecision]:
+             ) -> tuple[MarginSeries, SegmentIndex, ChangeDecision]:
     if record.candidates is None:
         raise RecordValidationError("strategy requires top-K candidates",
                                     field="topk")
     margins = teacher_top2_margin(record.candidates,
                                   support_size=config.support_size)
     segments = _segment_index_for(record, config)
-    scores = aggregate_segment_scores(margins, segments)
-    decision = detect_downward_change(scores)
-    return margins, segments, scores, decision
+    decision = detect_downward_change(aggregate_segment_scores(margins, segments))
+    return margins, segments, decision
 
 
 def dynamic_prefix_reweight(record: RolloutRecord,
@@ -186,7 +184,7 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     """
     num_tokens = record.num_tokens
     if config.strategy == "bic":
-        _, segments, _, decision = _analyze(record, config)
+        _, segments, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
     elif config.strategy == "random":
         raise ValueError("random is a batch-level strategy; use process_batch")
@@ -204,19 +202,18 @@ _UNTESTED = ChangeDecision(release_segment=-1, accepted=False, bic_gain=0.0,
                            mu_pre=None, mu_post=None)
 
 
-def _encode_release(span: tuple[int, int], result: ReleaseResult,
-                    ) -> tuple[tuple[tuple[int, int], bytes], bool]:
-    """((span, the encoded release object), accepted), as _splice_release
-    takes it."""
+def _encode_release(start: int, end: int, result: ReleaseResult) -> tuple:
+    """(start, end, the encoded release object, accepted): the first three
+    as _splice_release takes them after the raw line."""
     decision = result.decision
     body = dumps_obj({"accepted": decision.accepted,
                       "release_segment": decision.release_segment,
                       "bic_gain": decision.bic_gain, "scale": result.scale,
                       "prefix_mask": result.prefix_mask,
                       "rescaled_advantages": result.rescaled_advantages})
-    if span[0] == span[1]:  # a JSON value is never empty: a new member
+    if start == end:  # a JSON value is never empty: a new member
         body = b',"release":' + body
-    return (span, body), decision.accepted
+    return start, end, body, decision.accepted
 
 
 def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int]:
@@ -256,12 +253,10 @@ def _release_span(obj: dict[str, Any], raw: bytes) -> tuple[int, int]:
     return _member_value_span(raw, "release")
 
 
-def _splice_release(raw: bytes, encoded: tuple[tuple[int, int], bytes],
-                    ) -> bytes:
-    """The output line: raw stripped, with the body in place of the span,
-    and a newline. Workers return only _encode_release's (span, body), so
-    the ~100 kB echoed line is copied once, by the main process."""
-    (start, end), body = encoded
+def _splice_release(raw: bytes, start: int, end: int, body: bytes) -> bytes:
+    """The output line: raw stripped, with body in place of raw[start:end],
+    and a newline. Workers return only _encode_release's value, so the
+    ~100 kB echoed line is copied once, by the main process."""
     lead = 0 if raw[:1] == b"{" else len(raw) - len(raw.lstrip())
     return b"".join((memoryview(raw)[lead:start], body, raw[end:].rstrip(),
                      b"\n"))
@@ -336,20 +331,20 @@ def _iter_chunks(path: str) -> Iterator[list[tuple[int, bytes]]]:
         yield chunk
 
 
-def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any], jobs: int,
-                ) -> Iterator[tuple[Any, Any]]:
+def _map_chunks(chunks: Iterable[Any], worker: Callable[[Any], Any],
+                jobs: int | None) -> Iterator[tuple[Any, Any]]:
     """(chunk, worker(chunk)) for each chunk, in order.
 
-    Pooled when jobs > 1 and there is a second chunk; a single chunk runs in
-    this process, which saves starting and stopping the pool. The pool
-    starts one worker per chunk up to jobs, and at most jobs * 2 chunks are
-    out at workers, one running and one queued per worker. The first chunks,
-    read to size the pool, go straight into that window and leave with it,
-    so each chunk is freed once its result is consumed. Beyond those chunks,
-    this process holds only the pool's pickled copy of the chunk it is
-    sending and the results not yet written.
+    Pooled when jobs > 1, None meaning the available cores, and there is a
+    second chunk; one chunk runs in this process, which saves starting and
+    stopping the pool. The pool starts one worker per chunk up to jobs, and
+    at most jobs * 2 chunks are out at workers, one running and one queued
+    per worker. The first chunks, read to size the pool, go straight into
+    that window and leave with it, so each is freed once its result is
+    consumed. Beyond them, this process holds only the pool's pickled copy
+    of the chunk it is sending and the results not yet written.
     """
-    chunks = iter(chunks)
+    chunks, jobs = iter(chunks), _resolve_jobs(jobs)
     head = list(islice(chunks, jobs)) if jobs > 1 else []
     if len(head) < 2:
         for chunk in chain(head, chunks):
@@ -441,7 +436,8 @@ class _BatchTally:
 
 def _write_release(output_path: str, lines: Iterable[tuple[bytes, tuple]],
                    tally: _BatchTally) -> None:
-    """Write release lines from (raw, _encode_release value) pairs in order.
+    """Write release lines in order from (raw, (start, end, body, accepted))
+    pairs, each a line and its _encode_release value.
 
     Strict mode aborts on the first bad line and removes the partial output
     when it is a regular file: the file open() wrote, not a symlink that
@@ -451,8 +447,8 @@ def _write_release(output_path: str, lines: Iterable[tuple[bytes, tuple]],
     regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     complete = False
     try:
-        for raw, (encoded, accepted) in lines:
-            handle.write(_splice_release(raw, encoded))
+        for raw, (start, end, body, accepted) in lines:
+            handle.write(_splice_release(raw, start, end, body))
             tally.num_accepted += bool(accepted)
         complete = True
     finally:
@@ -492,12 +488,11 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]],
 # release
 
 
-def _release_line(raw: bytes, config: PipelineConfig,
-                  ) -> tuple[tuple[tuple[int, int], bytes], bool]:
+def _release_line(raw: bytes, config: PipelineConfig) -> tuple:
     obj = decode_line(raw)
     result = dynamic_prefix_reweight(rollout_from_obj(obj, probs=config.probs),
                                      config)
-    return _encode_release(_release_span(obj, raw), result)
+    return _encode_release(*_release_span(obj, raw), result)
 
 
 def process_batch(input_path: str, output_path: str,
@@ -508,15 +503,13 @@ def process_batch(input_path: str, output_path: str,
     otherwise bad lines are logged, counted, and omitted from the output.
     """
     _check_files(input_path, (output_path,))
-    jobs = _resolve_jobs(config.jobs)
     if config.strategy == "random":
-        return _transfer_batch(input_path, output_path, config, jobs,
-                               _own_decision)
+        return _transfer_batch(input_path, output_path, config, _own_decision)
 
     worker = partial(_run_lines, per_line=partial(_release_line, config=config))
     tally = _BatchTally(config.strict)
     _write_release(output_path, tally.passed(
-        _map_chunks(_iter_chunks(input_path), worker, jobs)), tally)
+        _map_chunks(_iter_chunks(input_path), worker, config.jobs)), tally)
     return tally.report()
 
 
@@ -547,7 +540,7 @@ def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
 def _own_decision(obj: dict[str, Any], record: RolloutRecord,
                   config: PipelineConfig) -> tuple:
     # random release: the record's own BIC decision
-    _, segments, _, decision = _analyze(record, config)
+    _, segments, decision = _analyze(record, config)
     return (segments, decision.accepted, _retained_tokens(segments, decision),
             decision.bic_gain)
 
@@ -599,12 +592,12 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
         mask = build_prefix_mask(segments, decision, num_tokens)
         rescaled, scale = rescale_advantages(floats[:num_tokens],
                                              floats[num_tokens:], mask)
-        yield raw, _encode_release((start, end), ReleaseResult(
+        yield raw, _encode_release(start, end, ReleaseResult(
             mask, scale, rescaled, decision))
 
 
 def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
-                    jobs: int, decide: Callable) -> BatchReport:
+                    decide: Callable) -> BatchReport:
     # the two passes described in the module docstring
     tally = _BatchTally(config.strict)
     decided: list[tuple] = []
@@ -612,7 +605,7 @@ def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
                                                   decide=decide))
     with tempfile.TemporaryFile() as spill:
         for raw, (scalars, head, arrays) in tally.passed(
-                _map_chunks(_iter_chunks(input_path), worker, jobs)):
+                _map_chunks(_iter_chunks(input_path), worker, config.jobs)):
             spill.write(_SPILL_HEAD.pack(len(raw), *head))
             spill.write(raw)
             spill.write(arrays)
@@ -633,9 +626,7 @@ def permute_batch(input_path: str, output_path: str,
     on the receiving rollout.
     """
     _check_files(input_path, (output_path,))
-    jobs = _resolve_jobs(config.jobs)
-    return _transfer_batch(input_path, output_path, config, jobs,
-                           _existing_decision)
+    return _transfer_batch(input_path, output_path, config, _existing_decision)
 
 
 # ----------------------------------------------------------------------------
@@ -647,7 +638,7 @@ def _diagnose_line(raw: bytes, config: PipelineConfig,
     # the record's own bin partials, which the main process adds in line
     # order, so the bins do not depend on how the input was chunked
     record = parse_rollout_line(raw, probs=config.probs)
-    margins, segments, _, decision = _analyze(record, config)
+    margins, segments, decision = _analyze(record, config)
     return (_series_bins(sampled_advantage(record), config.num_bins),
             _series_bins(margins.values, config.num_bins),
             _summary_row(decision, segments, record.num_tokens))
@@ -664,7 +655,6 @@ def diagnose_batch(input_path: str, out_dir: str,
     survives validation.
     """
     bins_path, margin_path, summary_path = _check_out_dir(input_path, out_dir)
-    jobs = _resolve_jobs(config.jobs)
     worker = partial(_run_lines, per_line=partial(_diagnose_line, config=config))
     tally = _BatchTally(config.strict)
     adv_total = BinAccumulator(config.num_bins)
@@ -672,7 +662,7 @@ def diagnose_batch(input_path: str, out_dir: str,
     rows: list[tuple] = []
 
     for _, (adv, margin, row) in tally.passed(
-            _map_chunks(_iter_chunks(input_path), worker, jobs)):
+            _map_chunks(_iter_chunks(input_path), worker, config.jobs)):
         adv_total.add_bins(adv)
         margin_total.add_bins(margin)
         rows.append(row)

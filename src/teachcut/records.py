@@ -86,12 +86,12 @@ class DataProcessingError(TeachcutError):
             f"strict mode: aborting at {_at_line(line_number, message)}")
 
 
-def _check_int(name: str, value: Any, least: int | None = None) -> None:
+def _check_int(name: str, value: Any, least: int) -> None:
     """Raise ValueError naming ``name`` unless value is an int, not a bool,
-    and is at least ``least`` when that is given."""
+    and is at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
+    if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value}")
 
@@ -239,10 +239,6 @@ def dumps_obj(obj: Any) -> bytes:
 # validation
 
 
-def _first_true(mask: np.ndarray) -> int:
-    return int(np.argmax(mask))
-
-
 def _pack(values: list, typecode: str) -> np.ndarray:
     """A flat list of numbers as a float64 ("d") or int64 ("q") array.
 
@@ -276,9 +272,10 @@ def _check_logp(arr: np.ndarray, field: str,
     for bad, message in ((~np.isfinite(arr), "not finite"), (arr > 0.0, "> 0"),
                          (arr < LOGP_FLOOR, f"below {LOGP_FLOOR:g}")):
         if bad.any():
+            first = int(np.argmax(bad))
             raise RecordValidationError(
                 f"log-probability {message}", field=field,
-                position=_first_true(bad) if ends is None else _row_of(ends, bad))
+                position=first if ends is None else _row_of(ends, bad))
 
 
 def _rows_array(rows: Any, typecode: str) -> tuple[np.ndarray, list[int]]:
@@ -373,7 +370,7 @@ def _check_student_order(ids: np.ndarray, student: np.ndarray,
 def _row_of(ends: np.ndarray, flags: np.ndarray) -> int:
     """The row holding the first flagged entry of flat rows, or the first
     entry of the first flagged pair of their diff."""
-    return int(np.searchsorted(ends, _first_true(flags), side="right"))
+    return int(np.searchsorted(ends, np.argmax(flags), side="right"))
 
 
 def _segments_from_obj(raw: Any, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +465,8 @@ def _rollout_from_obj(obj: Any, probs: bool) -> RolloutRecord:
     bad = ~np.isfinite(mask) | (mask < 0.0) | (mask > 1.0)
     if bad.any():
         raise RecordValidationError("loss_mask values must lie in [0, 1]",
-                                    field="loss_mask", position=_first_true(bad))
+                                    field="loss_mask",
+                                    position=int(np.argmax(bad)))
     if not (mask > 0.0).any():
         raise RecordValidationError("loss_mask has no positive entries",
                                     field="loss_mask")

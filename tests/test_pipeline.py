@@ -441,8 +441,9 @@ def test_jobs_default_to_the_cpu_count_without_affinity(monkeypatch):
     assert pipeline._resolve_jobs(None) == 1
 
 
-def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
-    # a stand-in executor that runs each task inline and starts no process
+def inline_pools(monkeypatch):
+    """The max_workers of each pool the pipeline sizes, given a stand-in
+    executor that runs each task inline and starts no process."""
     sizes = []
 
     class InlinePool:
@@ -461,6 +462,11 @@ def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    sizes = inline_pools(monkeypatch)
     monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
     src = write_objs(tmp_path / "in.jsonl", [planted_obj(i) for i in range(2)])
     inline = str(tmp_path / "inline.jsonl")
@@ -472,6 +478,27 @@ def test_pool_starts_no_more_workers_than_chunks(tmp_path, monkeypatch):
     one = str(tmp_path / "one.jsonl")
     process_batch(src, one, PipelineConfig(jobs=1))
     assert Path(inline).read_bytes() == Path(one).read_bytes()
+
+
+def test_default_jobs_size_the_pool_at_the_available_cores(tmp_path,
+                                                           monkeypatch):
+    # PipelineConfig() leaves jobs None: each command sizes its pool at the
+    # available cores, and at no more workers than there are chunks
+    sizes = inline_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1)
+    config = PipelineConfig()
+    for count, workers in ((4, 3), (2, 2)):
+        objs = [planted_obj(i, noise=0.4, seed=5) for i in range(count)]
+        src = write_objs(tmp_path / f"in{count}.jsonl", objs)
+        released = str(tmp_path / f"released{count}.jsonl")
+        process_batch(src, released, config)
+        permute_batch(released, str(tmp_path / f"permuted{count}.jsonl"),
+                      config)
+        diagnose_batch(src, str(tmp_path / f"diagnose{count}"), config)
+        assert sizes == [workers] * 3
+        sizes.clear()
 
 
 def _release_rows(path):
