@@ -122,8 +122,6 @@ def _build_parser() -> _Parser:
                          type=int, help="candidate support size per position")
     release.add_argument("--strategy", metavar="NAME",
                          help=f"masking strategy: {_STRATEGY_HELP}")
-    release.add_argument("--seed", dest="random_seed", metavar="SEED",
-                         type=int, help="permutation seed for the random strategy")
     _add_batch_flags(release)
     release.set_defaults(handler=_cmd_rewrite, batch=process_batch,
                          **_defaults(PipelineConfig))
@@ -142,8 +140,8 @@ def _build_parser() -> _Parser:
     diagnose.set_defaults(handler=_cmd_diagnose, **_defaults(PipelineConfig))
 
     permute = subs.add_parser("permute", formatter_class=fmt,
-                              help="randomly reassign release points in an "
-                                   "existing release output")
+                              help="the random-release control: reassign "
+                                   "the release points of a release output")
     _add_io_flags(permute, out_help="output JSONL file")
     permute.add_argument("--seed", dest="random_seed", metavar="SEED",
                          type=int, help="permutation seed")

@@ -11,8 +11,8 @@ gives ``accepted``, ``release_segment`` and ``bic_gain``. Full and fixed:K,
 which run no test, carry one untested decision: not accepted, release
 segment -1 and gain 0.0.
 
-Random release and permute read and parse the input once. Pass 1 checks
-each line on the pool and returns the record's decision as four scalars,
+Permute reads and parses the input once. Pass 1 checks each line on the
+pool and returns the decision its prior release wrote as four scalars,
 plus the arrays the rewrite needs and their sizes. The main process keeps
 only the scalars and spills each valid line to an anonymous temporary file
 (the input's size plus about 24 bytes per token) as one record: a head of
@@ -61,20 +61,20 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       _check_real, _float_array, decode_line, dumps_obj,
                       iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
                       sampled_advantage)
-from .reweight import (ReleaseResult, _release_sources, _retained_tokens,
-                       _transferred_release, build_prefix_mask,
-                       fixed_prefix_mask, rescale_advantages)
+from .reweight import (ReleaseResult, _release_sources, _transferred_release,
+                       build_prefix_mask, fixed_prefix_mask,
+                       rescale_advantages)
 from .segmentation import SegmentIndex, aggregate_segment_scores, segment_tokens
 
 logger = logging.getLogger("teachcut")
 
-_STRATEGY_HELP = "bic | full | fixed:K | random"
+_STRATEGY_HELP = "bic | full | fixed:K"
 _SEGMENT_SOURCES = ("record", "builtin")
 
 
 def _prefix_tokens(strategy: str) -> int | None:
     """K of a "fixed:K" strategy, None for the others."""
-    if strategy in ("bic", "full", "random"):
+    if strategy in ("bic", "full"):
         return None
     if not isinstance(strategy, str) or not strategy.startswith("fixed:"):
         raise ValueError(f"unknown strategy {strategy!r} "
@@ -101,8 +101,7 @@ _CHUNK_BYTES = 1 << 19
 class PipelineConfig:
     """Batch-processing knobs. Each field is the dest of the CLI flag that
     sets it and gives that flag its default. ``strategy`` takes the --strategy
-    spellings: "bic", "full", "fixed:K" (keep the first K >= 1 tokens) or
-    "random"."""
+    spellings: "bic", "full" or "fixed:K" (keep the first K >= 1 tokens)."""
 
     support_size: int = 4
     num_bins: int = 20
@@ -177,17 +176,11 @@ def _analyze(record: RolloutRecord, config: PipelineConfig,
 def dynamic_prefix_reweight(record: RolloutRecord,
                             config: PipelineConfig = PipelineConfig(),
                             ) -> ReleaseResult:
-    """Compute one record's prefix mask and mass-preserving reweighting.
-
-    The random strategy permutes decisions across a whole batch and has no
-    per-record form; use process_batch for it.
-    """
+    """Compute one record's prefix mask and mass-preserving reweighting."""
     num_tokens = record.num_tokens
     if config.strategy == "bic":
         _, segments, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
-    elif config.strategy == "random":
-        raise ValueError("random is a batch-level strategy; use process_batch")
     else:  # fixed:K, or full: the prefix of every token
         decision = _UNTESTED
         prefix_mask = fixed_prefix_mask(
@@ -503,9 +496,6 @@ def process_batch(input_path: str, output_path: str,
     otherwise bad lines are logged, counted, and omitted from the output.
     """
     _check_files(input_path, (output_path,))
-    if config.strategy == "random":
-        return _transfer_batch(input_path, output_path, config, _own_decision)
-
     worker = partial(_run_lines, per_line=partial(_release_line, config=config))
     tally = _BatchTally(config.strict)
     _write_release(output_path, tally.passed(
@@ -514,21 +504,21 @@ def process_batch(input_path: str, output_path: str,
 
 
 # ----------------------------------------------------------------------------
-# batch-level controls: random release and permutation of existing outputs
+# the random-release control: permutation of existing outputs
 
 
 # line bytes, tokens, segments, segment token ids, and the release span
 _SPILL_HEAD = struct.Struct("6q")
 
 
-def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
+def _spill_line(raw: bytes, config: PipelineConfig) -> tuple:
     """Pass 1 for one line: the decision as (total tokens, accepted, retained
     tokens, BIC gain), the spill head's sizes and _release_span, and the
     arrays pass 2 needs: the sampled advantage and loss mask, and the
     segments' bounds and token ids."""
     obj = decode_line(raw)
     record = rollout_from_obj(obj, probs=config.probs)
-    segments, accepted, retained, gain = decide(obj, record, config)
+    segments, accepted, retained, gain = _existing_decision(obj, record, config)
     arrays = b"".join((sampled_advantage(record), record.loss_mask,
                        segments.bounds, segments.token_ids))
     return ((record.num_tokens, accepted, retained, gain),
@@ -537,17 +527,9 @@ def _spill_line(raw: bytes, config: PipelineConfig, decide: Callable) -> tuple:
             arrays)
 
 
-def _own_decision(obj: dict[str, Any], record: RolloutRecord,
-                  config: PipelineConfig) -> tuple:
-    # random release: the record's own BIC decision
-    _, segments, decision = _analyze(record, config)
-    return (segments, decision.accepted, _retained_tokens(segments, decision),
-            decision.bic_gain)
-
-
 def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
                        config: PipelineConfig) -> tuple:
-    # permute: the decision a prior release output wrote
+    # the decision a prior release output wrote
     def invalid(message: str, key: str = "", position: int | None = None):
         return RecordValidationError(message, field="release" + key,
                                      position=position)
@@ -596,13 +578,21 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
             mask, scale, rescaled, decision))
 
 
-def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
-                    decide: Callable) -> BatchReport:
-    # the two passes described in the module docstring
+def permute_batch(input_path: str, output_path: str,
+                  config: PipelineConfig = PipelineConfig()) -> BatchReport:
+    """Permute release points across an existing release output, such as
+    process_batch writes: the random-release control.
+
+    Reads each record's decision back from its ``release`` object (retained
+    tokens from the prefix mask), reassigns decisions by a seeded uniform
+    permutation, and rewrites the release objects in place, in the module
+    docstring's two passes. The multiset of relative release positions is
+    preserved up to segment-boundary snapping on the receiving rollout.
+    """
+    _check_files(input_path, (output_path,))
     tally = _BatchTally(config.strict)
     decided: list[tuple] = []
-    worker = partial(_run_lines, per_line=partial(_spill_line, config=config,
-                                                  decide=decide))
+    worker = partial(_run_lines, per_line=partial(_spill_line, config=config))
     with tempfile.TemporaryFile() as spill:
         for raw, (scalars, head, arrays) in tally.passed(
                 _map_chunks(_iter_chunks(input_path), worker, config.jobs)):
@@ -613,20 +603,6 @@ def _transfer_batch(input_path: str, output_path: str, config: PipelineConfig,
         spill.seek(0)
         _write_release(output_path, _rewrite(spill, decided, config), tally)
     return tally.report()
-
-
-def permute_batch(input_path: str, output_path: str,
-                  config: PipelineConfig = PipelineConfig()) -> BatchReport:
-    """Permute release points across an existing release output.
-
-    Reads each record's decision back from its ``release`` object (retained
-    tokens from the prefix mask), reassigns decisions by a seeded uniform
-    permutation, and rewrites the release objects in place. The multiset of
-    relative release positions is preserved up to segment-boundary snapping
-    on the receiving rollout.
-    """
-    _check_files(input_path, (output_path,))
-    return _transfer_batch(input_path, output_path, config, _existing_decision)
 
 
 # ----------------------------------------------------------------------------

@@ -551,10 +551,11 @@ def _check_files(input_path: str | None, outputs: Sequence[str]) -> None:
 
 
 def iter_jsonl_lines(path: str) -> Iterator[tuple[int, bytes]]:
-    """Yield (line_number, raw_line) pairs, skipping blank lines."""
+    """Yield (line_number, raw_line) pairs, skipping blank lines: those of
+    JSON whitespace only. bytes.isspace() also takes \\v and \\f."""
     # a buffer over twice the ~100 kB lines lets readline find most lines in
     # one read; the default 8 kB buffer makes it stitch each from 12 pieces
     with open(path, "rb", buffering=1 << 18) as handle:
         for line_number, raw in enumerate(handle, start=1):
-            if not raw.isspace():
+            if not raw.isspace() or raw.strip(b" \t\r\n"):
                 yield line_number, raw

@@ -126,6 +126,18 @@ def test_unknown_strategy_exits_one(tmp_path, dataset, capsys):
     assert "unknown strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--strategy", "random"], "unknown strategy 'random'"),
+    (["--seed", "3"], "unrecognized arguments: --seed 3")])
+def test_release_has_no_random_control(tmp_path, dataset, capsys, flags,
+                                       message):
+    # the random-release control is permute on a release output
+    out = tmp_path / "o.jsonl"
+    expect_usage_exit(["release", "--in", dataset, "--out", str(out), *flags])
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path, capsys):
     expect_usage_exit(["release", "--in", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "o.jsonl")])
@@ -456,8 +468,6 @@ def test_stderr_does_not_depend_on_jobs(tmp_path, monkeypatch, capfd):
     source = _hostile_input(tmp_path / "in.jsonl")
     assert os.path.getsize(source) > 4 << 16
     runs = {"bic": ["release", "--top-k", "4"],
-            "random": ["release", "--top-k", "4", "--strategy", "random",
-                       "--seed", "3"],
             "permute": ["permute", "--seed", "5"],
             "diagnose": ["diagnose", "--top-k", "4"]}
     seen = {}

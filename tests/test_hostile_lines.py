@@ -13,7 +13,7 @@ from teachcut.records import dumps_obj, rollout_to_obj
 from teachcut.synthetic import (SyntheticConfig, generate_piecewise_rollout,
                                 generate_rollout)
 
-COMMANDS = ("bic", "full", "fixed:7", "random", "permute", "diagnose")
+COMMANDS = ("bic", "full", "fixed:7", "permute", "diagnose")
 CSVS = ("bins.csv", "margin_bins.csv", "summary.csv")
 
 
@@ -90,6 +90,9 @@ CORPUS = [
     ("lone_surrogate_bytes_then_bad_json",
      first_member(b"extra", b'"\xed\xa0\x80",'), COMMANDS),
     ("byte_order_mark", lambda base: b"\xef\xbb\xbf" + base, ()),
+    # whitespace to bytes.isspace(), but not to JSON
+    ("form_feed_line", lambda base: b"\f", COMMANDS),
+    ("vertical_tab_line", lambda base: b" \v ", COMMANDS),
     ("nul_inside_a_string", first_member(b"extra", b'"a\x00b"'), COMMANDS),
     ("nul_escape_inside_a_string", first_member(b"extra", b'"a\\u0000b"'), ()),
     ("early_second_release_key",
@@ -118,7 +121,7 @@ def run(command, lines, tmp_path, jobs):
     """(the output, the errors) of one command over lines: the release
     lines, or diagnose's three CSVs."""
     src = write(tmp_path / "in.jsonl", lines)
-    config = PipelineConfig(strategy=command if command in COMMANDS[:4]
+    config = PipelineConfig(strategy=command if command in COMMANDS[:3]
                             else "bic", random_seed=5, jobs=jobs)
     if command == "diagnose":
         out = tmp_path / "diag"
@@ -164,8 +167,8 @@ def test_a_hostile_line_passes_or_is_one_error_on_its_line(
             assert [n for n, _ in errors] == [HOSTILE_LINE_NUMBER], command
             assert output == without, command
         else:
-            # it passed with the twin's values; random and permute draw
-            # their permutation over the records that pass, so the others
+            # it passed with the twin's values; permute draws its
+            # permutation over the records that pass, so the others
             # are compared with the run that holds the twin
             assert errors == (), command
             if command != "diagnose":

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 import weakref
 from concurrent.futures import Future
@@ -261,7 +262,7 @@ def test_records_down_to_the_floor_write_only_finite_numbers(objs, jobs):
         patch.setattr(pipeline, "_CHUNK_BYTES", 1)  # a chunk per line
         src = write_objs(Path(tmp) / "in.jsonl", objs)
         released = os.path.join(tmp, "bic.jsonl")
-        for strategy in ("bic", "full", "fixed:1", "random", "permute"):
+        for strategy in ("bic", "full", "fixed:1", "permute"):
             out = released if strategy == "bic" else os.path.join(tmp, "out")
             if strategy == "permute":
                 report = permute_batch(released, out, PipelineConfig(jobs=jobs))
@@ -301,7 +302,7 @@ def count_pools(monkeypatch):
     return pools
 
 
-@pytest.mark.parametrize("command", ["bic", "random", "permute", "diagnose"])
+@pytest.mark.parametrize("command", ["bic", "permute", "diagnose"])
 def test_parallel_output_is_bit_identical(tmp_path, monkeypatch, command):
     # 80 records, 587 kB and more once released: at least 9 chunks of
     # 64 kB, more than the jobs * 2 = 4 out at once, so jobs=2 waits on them
@@ -517,7 +518,7 @@ def flat_obj(index):
     return rollout_to_obj(record)
 
 
-def test_random_release_transfers_decisions(tmp_path):
+def test_permute_transfers_decisions(tmp_path):
     # 12 planted drops (always accepted) + 12 constants (never accepted)
     objs = [planted_obj(i, noise=0.4, seed=9) for i in range(12)]
     objs += [flat_obj(i) for i in range(12, 24)]
@@ -525,9 +526,8 @@ def test_random_release_transfers_decisions(tmp_path):
     bic_out = str(tmp_path / "bic.jsonl")
     rand_out = str(tmp_path / "rand.jsonl")
     bic_report = process_batch(src, bic_out)
-    rand_report = process_batch(src, rand_out,
-                                PipelineConfig(strategy="random",
-                                               random_seed=3))
+    rand_report = permute_batch(bic_out, rand_out,
+                                PipelineConfig(random_seed=3))
     assert bic_report.num_accepted == 12
     assert rand_report.num_accepted == 12
     # layouts are homogeneous, so decisions transfer exactly
@@ -535,37 +535,11 @@ def test_random_release_transfers_decisions(tmp_path):
     assert _release_rows(bic_out) != _release_rows(rand_out)
 
     again = str(tmp_path / "again.jsonl")
-    process_batch(src, again, PipelineConfig(strategy="random",
-                                             random_seed=3))
+    permute_batch(bic_out, again, PipelineConfig(random_seed=3))
     assert Path(again).read_bytes() == Path(rand_out).read_bytes()
     other = str(tmp_path / "other.jsonl")
-    process_batch(src, other, PipelineConfig(strategy="random",
-                                             random_seed=4))
+    permute_batch(bic_out, other, PipelineConfig(random_seed=4))
     assert Path(other).read_bytes() != Path(rand_out).read_bytes()
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_random_release_is_release_then_permute(tmp_path, monkeypatch, jobs):
-    # a guard: both draw one seeded permutation over the valid lines and
-    # give each line its source's BIC decision, so they write the same bytes
-    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 12)
-    builtin = planted_obj(4, noise=0.4, seed=9)
-    del builtin["segments"]  # segmented from its tokens
-    stale = planted_obj(5, noise=0.4, seed=9)
-    stale["release"] = {"accepted": "stale"}  # replaced, never read
-    objs = [ragged_obj(i) for i in range(4)] + [builtin, stale, flat_obj(6)]
-    lines = [to_line(obj) for obj in objs]
-    lines.insert(3, b"{not json")
-    src = write_lines(tmp_path / "in.jsonl", lines)
-    released, permuted, direct = (str(tmp_path / name) for name in
-                                  ("released", "permuted", "random"))
-    config = PipelineConfig(jobs=jobs, random_seed=5)
-    assert process_batch(src, released, config).num_errors == 1
-    assert permute_batch(released, permuted, config).num_errors == 0
-    report = process_batch(src, direct, replace(config, strategy="random"))
-    assert (report.num_records, report.num_errors) == (7, 1)
-    assert Path(direct).read_bytes() == Path(permuted).read_bytes()
-    assert Path(direct).read_bytes() != Path(released).read_bytes()
 
 
 def test_permute_batch_preserves_positions(tmp_path):
@@ -707,7 +681,6 @@ _COMMANDS = {
     "bic": (process_batch, {}),
     "full": (process_batch, dict(strategy="full")),
     "fixed:20": (process_batch, dict(strategy="fixed:20")),
-    "random": (process_batch, dict(strategy="random", random_seed=3)),
     "permute": (permute_batch, dict(random_seed=8)),
 }
 
@@ -929,48 +902,57 @@ def _expected_transfer(src, decisions, seed):
     return expected
 
 
-def test_transfers_match_per_record_functions(tmp_path):
+@pytest.mark.parametrize("decisions", ["written", "own"])
+def test_transfers_match_per_record_functions(tmp_path, decisions):
+    # release, with its stale release keys and bad lines, then permute. Each
+    # record gets the decision its source's release wrote, which is the
+    # source's own BIC decision: the random-release control
     src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
     released = str(tmp_path / "released.jsonl")
     assert process_batch(src, released).num_errors == 3
-
-    def own(obj, record):
-        return dynamic_prefix_reweight(record).decision
 
     def written(obj, record):
         release = obj["release"]
         return ChangeDecision(release["release_segment"], release["accepted"],
                               release["bic_gain"], None, None)
 
-    for name, path, decisions, run in [
-            ("random", src, own, lambda out, config: process_batch(
-                src, out, replace(config, strategy="random"))),
-            ("permute", released, written, lambda out, config: permute_batch(
-                released, out, config))]:
-        expected = _expected_transfer(path, decisions, seed=4)
-        outputs = []
-        for jobs in (1, 2):
-            out = str(tmp_path / f"{name}-{jobs}.jsonl")
-            report = run(out, PipelineConfig(jobs=jobs, random_seed=4))
-            assert report.num_records == len(expected) == 60
-            outputs.append(Path(out).read_bytes())
-        assert outputs[0] == outputs[1]
-        assert read_objs(out) == list(expected.values())
-        # a stale release value is replaced, not followed by a second one
-        assert all(line.count(b'"release"') == 1
-                   for line in outputs[0].splitlines())
+    def own(obj, record):
+        return dynamic_prefix_reweight(record).decision
+
+    expected = (_expected_transfer(released, written, seed=4)
+                if decisions == "written" else
+                _expected_transfer(src, own, seed=4))
+    outputs = []
+    for jobs in (1, 2):
+        out = str(tmp_path / f"permute-{jobs}.jsonl")
+        report = permute_batch(released, out,
+                               PipelineConfig(jobs=jobs, random_seed=4))
+        assert report.num_records == len(expected) == 60
+        outputs.append(Path(out).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert read_objs(out) == list(expected.values())
+    # a stale release value is replaced, not followed by a second one
+    assert all(line.count(b'"release"') == 1
+               for line in outputs[0].splitlines())
 
 
-def test_random_release_counts_each_bad_line_once(tmp_path, caplog):
+def test_permute_counts_each_bad_line_once(tmp_path, caplog):
     src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
+    released = str(tmp_path / "released.jsonl")
+    process_batch(src, released)
+    lines = Path(released).read_bytes().splitlines()
+    bad_mask = json.loads(lines[1])
+    bad_mask["release"]["prefix_mask"][0] = 0.5
+    lines[5:5] = [lines[1][:-7]]
+    lines[20:20] = [json.dumps(bad_mask).encode()]
+    lines[33:33] = [b"{not json"]
+    bad = write_lines(tmp_path / "bad.jsonl", lines)
+    caplog.clear()
     with caplog.at_level(logging.WARNING, logger="teachcut"):
-        bic = process_batch(src, str(tmp_path / "bic.jsonl"))
-        caplog.clear()
-        random = process_batch(src, str(tmp_path / "random.jsonl"),
-                               PipelineConfig(strategy="random"))
-    assert [number for number, _ in random.errors] == [6, 21, 34]
-    assert random.errors == bic.errors
-    assert caplog.messages == [message for _, message in random.errors]
+        report = permute_batch(bad, str(tmp_path / "permuted.jsonl"))
+    assert report.num_records == 60
+    assert [number for number, _ in report.errors] == [6, 21, 34]
+    assert caplog.messages == [message for _, message in report.errors]
 
 
 @pytest.mark.parametrize("value", [0.5, 7.0, -1.0])
@@ -1037,14 +1019,12 @@ def test_transfers_read_the_input_once_with_one_pool(tmp_path, monkeypatch):
                      [planted_obj(i, noise=0.4, seed=1) for i in range(6)])
     released = str(tmp_path / "released.jsonl")
     process_batch(src, released, PipelineConfig(jobs=2))
-    for run in (lambda out, config: permute_batch(released, out, config),
-                lambda out, config: process_batch(
-                    src, out, replace(config, strategy="random"))):
-        reads.clear()
-        pools.clear()
-        report = run(str(tmp_path / "out.jsonl"), PipelineConfig(jobs=2))
-        assert report.num_records == 6
-        assert (len(reads), len(pools)) == (1, 1)
+    reads.clear()
+    pools.clear()
+    report = permute_batch(released, str(tmp_path / "out.jsonl"),
+                           PipelineConfig(jobs=2))
+    assert report.num_records == 6
+    assert (len(reads), len(pools)) == (1, 1)
 
 
 def test_diagnose_batch_outputs(tmp_path):
@@ -1213,6 +1193,9 @@ def test_output_path_must_differ(tmp_path):
     # the long names are not spellings of a strategy
     (dict(strategy="bic_release"), "unknown strategy"),
     (dict(strategy="fixed_prefix"), "unknown strategy"),
+    # the random-release control is permute on a release output
+    (dict(strategy="random"), re.escape(
+        "unknown strategy 'random' (expected bic | full | fixed:K)")),
     (dict(random_seed=-1), "random_seed must be non-negative"),
     # K is ASCII digits only, though int() takes each of these
     (dict(strategy="fixed: 7"), "K must be an integer in ASCII digits"),
@@ -1258,14 +1241,10 @@ def test_flags_are_config_fields_with_their_defaults(argv, cls):
     assert cli._config(cls, args) == cls()
 
 
-@pytest.mark.parametrize("argv", [["release", "--strategy", "random"],
-                                  ["permute"]])
-def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
     src = write_objs(tmp_path / "in.jsonl", [planted_obj(i) for i in range(3)])
-    if argv[0] == "permute":
-        released = str(tmp_path / "released.jsonl")
-        process_batch(src, released)
-        src = released
+    released = str(tmp_path / "released.jsonl")
+    process_batch(src, released)
 
     def no_reading(path):
         raise AssertionError("a record was read")
@@ -1273,19 +1252,13 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setattr(pipeline, "iter_jsonl_lines", no_reading)
     out = tmp_path / "out.jsonl"
     with pytest.raises(SystemExit) as excinfo:
-        cli.main([*argv, "--in", src, "--out", str(out), "--seed", "-1"])
+        cli.main(["permute", "--in", released, "--out", str(out),
+                  "--seed", "-1"])
     assert excinfo.value.code == 1
     err = capsys.readouterr().err
     assert "random_seed must be non-negative" in err
     assert "Traceback" not in err
     assert not out.exists()
-
-
-def test_single_record_reweight_rejects_random():
-    record = parse_rollout_line(json.dumps(planted_obj()).encode())
-    with pytest.raises(ValueError, match="batch-level"):
-        dynamic_prefix_reweight(record,
-                                PipelineConfig(strategy="random"))
 
 
 @pytest.mark.parametrize("strategy, kept", [("full", 60), ("fixed:7", 7)])

@@ -174,15 +174,13 @@ BATCHES = [
                                             PipelineConfig(strategy="full"))),
     ("fixed:7", lambda src, out: process_batch(
         src, out, PipelineConfig(strategy="fixed:7"))),
-    ("random", lambda src, out: process_batch(
-        src, out, PipelineConfig(strategy="random"))),
     ("permute", lambda src, out: permute_batch(src, out)),
     ("diagnose", lambda src, out: diagnose_batch(src, out)),
 ]
 WRITERS = dict(BATCHES, simulate=lambda src, out: write_dataset(
     out, SyntheticConfig(), 1))
 
-JSONL = ("bic", "full", "fixed:7", "random", "permute")
+JSONL = ("bic", "full", "fixed:7", "permute")
 CSVS = ("bins.csv", "margin_bins.csv", "summary.csv")
 
 # (id, the writers it applies to, the paths it makes under tmp_path after
