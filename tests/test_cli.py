@@ -128,7 +128,8 @@ def test_unknown_strategy_exits_one(tmp_path, dataset, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--strategy", "random"], "unknown strategy 'random'"),
-    (["--seed", "3"], "unrecognized arguments: --seed 3")])
+    (["--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["--strategy", "random", "--seed", "3"], "unrecognized arguments")])
 def test_release_has_no_random_control(tmp_path, dataset, capsys, flags,
                                        message):
     # the random-release control is permute on a release output

@@ -93,6 +93,13 @@ CORPUS = [
     # whitespace to bytes.isspace(), but not to JSON
     ("form_feed_line", lambda base: b"\f", COMMANDS),
     ("vertical_tab_line", lambda base: b" \v ", COMMANDS),
+    ("form_feed_before_a_record", lambda base: b"\f" + base, COMMANDS),
+    ("vertical_tab_after_a_record", lambda base: base + b"\v", COMMANDS),
+    ("form_feed_inside_a_record", first_member(b"extra", b"\f1"), COMMANDS),
+    # JSON whitespace around and inside a record is read as JSON reads it
+    ("json_whitespace_around_a_record",
+     lambda base: b" \t" + base + b"\t\r ", ()),
+    ("tab_inside_a_record", first_member(b"extra", b"\t1"), ()),
     ("nul_inside_a_string", first_member(b"extra", b'"a\x00b"'), COMMANDS),
     ("nul_escape_inside_a_string", first_member(b"extra", b'"a\\u0000b"'), ()),
     ("early_second_release_key",

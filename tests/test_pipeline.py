@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import hashlib
 import json
 import logging
 import math
@@ -540,6 +541,42 @@ def test_permute_transfers_decisions(tmp_path):
     other = str(tmp_path / "other.jsonl")
     permute_batch(bic_out, other, PipelineConfig(random_seed=4))
     assert Path(other).read_bytes() != Path(rand_out).read_bytes()
+
+
+# sha256 of what the former one-pass `release --strategy random --seed S`
+# wrote for the input below, at jobs 1 and 2 alike
+_RANDOM_RELEASE_SHA256 = {
+    0: "92602dbfd133bad04f7add8f4560acc9aab8d5816b23d93faaef374042751226",
+    5: "86b840b986b3d5271616dd30cf8af7c021fe0abbe14bd35c63a0608de2d694e3",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_random_release_is_release_then_permute(tmp_path, monkeypatch, jobs,
+                                                seed):
+    # the random-release control: one seeded permutation over the valid
+    # lines gives each line its source's BIC decision, byte for byte as the
+    # removed random strategy did, over ragged, built-in-segment, stale
+    # release and bad lines
+    monkeypatch.setattr(pipeline, "_CHUNK_BYTES", 1 << 12)
+    builtin = planted_obj(4, noise=0.4, seed=9)
+    del builtin["segments"]  # segmented from its tokens
+    stale = planted_obj(5, noise=0.4, seed=9)
+    stale["release"] = {"accepted": "stale"}  # replaced, never read
+    objs = [ragged_obj(i) for i in range(4)] + [builtin, stale, flat_obj(6)]
+    lines = [to_line(obj) for obj in objs]
+    lines.insert(3, b"{not json")
+    src = write_lines(tmp_path / "in.jsonl", lines)
+    released, permuted = (str(tmp_path / name)
+                          for name in ("released", "permuted"))
+    config = PipelineConfig(jobs=jobs, random_seed=seed)
+    assert process_batch(src, released, config).num_errors == 1
+    report = permute_batch(released, permuted, config)
+    assert (report.num_records, report.num_errors) == (7, 0)
+    data = Path(permuted).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _RANDOM_RELEASE_SHA256[seed]
+    assert data != Path(released).read_bytes()
 
 
 def test_permute_batch_preserves_positions(tmp_path):
