@@ -62,8 +62,7 @@ from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
                       sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _transferred_release,
-                       build_prefix_mask, fixed_prefix_mask,
-                       rescale_advantages)
+                       build_prefix_mask, rescale_advantages)
 from .segmentation import SegmentIndex, aggregate_segment_scores, segment_tokens
 
 logger = logging.getLogger("teachcut")
@@ -181,10 +180,10 @@ def dynamic_prefix_reweight(record: RolloutRecord,
     if config.strategy == "bic":
         _, segments, decision = _analyze(record, config)
         prefix_mask = build_prefix_mask(segments, decision, num_tokens)
-    else:  # fixed:K, or full: the prefix of every token
+    else:  # fixed:K, or full, whose None slices every token
         decision = _UNTESTED
-        prefix_mask = fixed_prefix_mask(
-            num_tokens, _prefix_tokens(config.strategy) or num_tokens)
+        prefix_mask = np.zeros(num_tokens)
+        prefix_mask[:_prefix_tokens(config.strategy)] = 1.0
     rescaled, scale = rescale_advantages(sampled_advantage(record),
                                          record.loss_mask, prefix_mask)
     return ReleaseResult(prefix_mask, scale, rescaled, decision)
@@ -544,6 +543,9 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     # compared, not converted: an int past float range is refused, not raised
     if type(gain) not in (int, float) or not abs(gain) <= sys.float_info.max:
         raise invalid("expected a finite number", ".bic_gain")
+    segment = release.get("release_segment")
+    if accepted and (type(segment) is not int or segment < 1):
+        raise invalid("expected an integer of at least 1", ".release_segment")
     mask = release.get("prefix_mask")
     if not isinstance(mask, list) or len(mask) != record.num_tokens:
         raise invalid("expected a list with one entry per token", ".prefix_mask")
@@ -552,8 +554,31 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     if bad.any():
         raise invalid("expected 0 or 1", ".prefix_mask", int(np.argmax(bad)))
     segments = _segment_index_for(record, config)
+    if accepted:
+        # the mask is build_prefix_mask's on a layout the release may have
+        # cut; layouts are built in turn, and the first match ends the search
+        decision = ChangeDecision(segment, True, float(gain), None, None)
+        diffs = (build_prefix_mask(layout, decision, record.num_tokens) != mask
+                 for layout in _release_layouts(record, segments)
+                 if segment <= len(layout))
+        first = next(diffs, None)
+        if first is None:
+            raise invalid("past the record's last segment", ".release_segment")
+        if first.any() and all(diff.any() for diff in diffs):
+            raise invalid(f"not the mask of release_segment {segment}",
+                          ".prefix_mask", int(np.argmax(first)))
     retained = int(mask.sum()) if accepted else record.num_tokens
     return segments, accepted, retained, float(gain)
+
+
+def _release_layouts(record: RolloutRecord,
+                     segments: SegmentIndex) -> Iterator[SegmentIndex]:
+    """The record's own segments, then its tokens' segmentation, which
+    segments, _segment_index_for's index, may already be."""
+    if record.segments:
+        yield record.segments
+    yield (segments if segments is not record.segments
+           else segment_tokens(record.token_surfaces))
 
 
 def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,

@@ -1,5 +1,5 @@
-"""Prefix masks and mass-preserving advantage rescaling, plus the baseline
-masking strategies (fixed prefix, batch-level random release transfer)."""
+"""Prefix masks and mass-preserving advantage rescaling, plus the
+batch-level random release transfer."""
 
 from __future__ import annotations
 
@@ -63,14 +63,6 @@ def rescale_advantages(advantages: np.ndarray, loss_mask: np.ndarray,
     kept_mass = float((loss_mask * prefix_mask).sum())
     scale = total_mass / max(kept_mass, RESCALE_EPS)
     return advantages * prefix_mask * scale, scale
-
-
-def fixed_prefix_mask(response_len: int, prefix_tokens: int) -> np.ndarray:
-    """1.0 on the first prefix_tokens positions, 0.0 after."""
-    _check_int("prefix_tokens", prefix_tokens, 1)
-    mask = np.zeros(response_len)
-    mask[:prefix_tokens] = 1.0
-    return mask
 
 
 def _snap_release_segment(cum_target: np.ndarray, retained_src: int,

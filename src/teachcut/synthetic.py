@@ -68,15 +68,6 @@ class GroundTruth:
     segment_means: np.ndarray
 
 
-def segment_mean_profile(config: SyntheticConfig) -> np.ndarray:
-    # float, or an int pre mean would truncate the post mean
-    means = np.full(config.num_segments, config.pre_margin_mean,
-                    dtype=np.float64)
-    if config.true_tau is not None:
-        means[config.true_tau:] = config.post_margin_mean
-    return means
-
-
 def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
                      support_size: int = 4, noise_std: float = 0.0,
                      seed: int = 0, index: int = 0,
@@ -140,8 +131,13 @@ def generate_rollout(segment_means: Any, *, tokens_per_segment: int,
 
 def generate_piecewise_rollout(config: SyntheticConfig,
                                index: int = 0) -> tuple[RolloutRecord, GroundTruth]:
+    # float, or an int pre mean would truncate the post mean
+    means = np.full(config.num_segments, config.pre_margin_mean,
+                    dtype=np.float64)
+    if config.true_tau is not None:
+        means[config.true_tau:] = config.post_margin_mean
     return generate_rollout(
-        segment_mean_profile(config),
+        means,
         tokens_per_segment=config.tokens_per_segment,
         support_size=config.support_size,
         noise_std=config.noise_std,

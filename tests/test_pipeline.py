@@ -841,16 +841,29 @@ def test_permute_requires_release_objects(tmp_path, monkeypatch, jobs):
     gain = line.index(b'"bic_gain":') + len(b'"bic_gain":')
     # JSON has no NaN; a gain that is not finite cannot be written back
     nan_gain = line[:gain] + b"NaN" + line[line.index(b",", gain):]
-    short_mask = json.loads(line)["release"]["prefix_mask"][:-1]
-    boolean, per_token = ("expected a boolean",
-                          "expected a list with one entry per token")
-    bad_fields = [("accepted", 1, boolean), ("accepted", "true", boolean),
-                  ("accepted", None, boolean), ("prefix_mask", {}, per_token),
-                  ("prefix_mask", short_mask, per_token)]
+    mask = json.loads(line)["release"]["prefix_mask"]
+    boolean, per_token, integer = ("expected a boolean",
+                                   "expected a list with one entry per token",
+                                   "expected an integer of at least 1")
+    # (the field the error names, the release values changed, its text);
+    # the release kept 3 of 6 segments, so a reversed mask differs at 0
+    bad_fields = [
+        ("accepted", {"accepted": 1}, boolean),
+        ("accepted", {"accepted": "true"}, boolean),
+        ("accepted", {"accepted": None}, boolean),
+        ("prefix_mask", {"prefix_mask": {}}, per_token),
+        ("prefix_mask", {"prefix_mask": mask[:-1]}, per_token),
+        ("release_segment", {"prefix_mask": mask[::-1], "release_segment": 99},
+         "past the record's last segment"),
+        ("prefix_mask at position 0", {"prefix_mask": mask[::-1]},
+         "not the mask of release_segment 3"),
+        ("release_segment", {"release_segment": 0}, integer),
+        ("release_segment", {"release_segment": True}, integer),
+        ("release_segment", {"release_segment": 3.0}, integer)]
     lines = [json.dumps(planted_obj()).encode(), nan_gain]
-    for key, value, _ in bad_fields:
+    for _, changes, _ in bad_fields:
         obj = json.loads(line)
-        obj["release"][key] = value
+        obj["release"].update(changes)
         lines.append(json.dumps(obj).encode())
     src = write_lines(tmp_path / "in.jsonl", lines)
     out = tmp_path / "out.jsonl"
@@ -859,7 +872,7 @@ def test_permute_requires_release_objects(tmp_path, monkeypatch, jobs):
     pools = count_pools(monkeypatch)
     report = permute_batch(src, str(out), PipelineConfig(jobs=jobs))
     assert pools == ([] if jobs == 1 else [{"max_workers": 2}])
-    assert (report.num_records, report.num_errors) == (0, 7)
+    assert (report.num_records, report.num_errors) == (0, 12)
     assert "run release first" in report.errors[0][1]
     assert report.errors[1][1].startswith("line 2: release.bic_gain")
     assert [message for _, message in report.errors[2:]] == [
@@ -971,6 +984,36 @@ def test_transfers_match_per_record_functions(tmp_path, decisions):
     # a stale release value is replaced, not followed by a second one
     assert all(line.count(b'"release"') == 1
                for line in outputs[0].splitlines())
+
+
+# sha256 of what permute --seed 4 wrote for each release of the seeded
+# transfer lines before it checked an accepted mask against its decision
+_UNCHECKED_PERMUTE_SHA256 = {
+    "full": "896a2bd238895e6a6b5b6b183923cf3262378ed56bd4a54eae9f8ab9589a33c8",
+    "fixed:7": "896a2bd238895e6a6b5b6b183923cf3262378ed56bd4a54eae9f8ab9589a33c8",
+    "builtin": "8c6e128fa8054a21a8ecf62ece74c96564374c2def03a7e539e9a9cabf561377",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("release", ["full", "fixed:7", "builtin"])
+def test_permute_takes_every_consistent_release(tmp_path, release, jobs):
+    # full and fixed:K write no accepted mask. A --segments builtin release
+    # cuts each record on its tokens' segmentation, which is not its own
+    # segments where those leave their first token unassigned; permute,
+    # reading with --segments record, takes either layout
+    src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
+    released, permuted = (str(tmp_path / name)
+                          for name in ("released", "permuted"))
+    config = (PipelineConfig(jobs=jobs, segments_source="builtin")
+              if release == "builtin" else
+              PipelineConfig(jobs=jobs, strategy=release))
+    process_batch(src, released, config)
+    report = permute_batch(released, permuted,
+                           PipelineConfig(jobs=jobs, random_seed=4))
+    assert (report.num_records, report.num_errors) == (60, 0)
+    assert (hashlib.sha256(Path(permuted).read_bytes()).hexdigest()
+            == _UNCHECKED_PERMUTE_SHA256[release])
 
 
 def test_permute_counts_each_bad_line_once(tmp_path, caplog):

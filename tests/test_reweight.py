@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachcut.changepoint import ChangeDecision
+from teachcut.pipeline import PipelineConfig, dynamic_prefix_reweight
+from teachcut.records import rollout_from_obj
 from teachcut.reweight import (_release_sources, _snap_release_segment,
-                               build_prefix_mask, fixed_prefix_mask,
-                               permute_release_points, rescale_advantages)
+                               build_prefix_mask, permute_release_points,
+                               rescale_advantages)
 from teachcut.segmentation import SegmentIndex
+
+from helpers import valid_obj
 
 
 def decision(release_segment, accepted=True, gain=10.0):
@@ -97,10 +101,13 @@ def test_mass_conservation_property(data):
 
 
 def test_fixed_prefix_mask():
-    np.testing.assert_array_equal(fixed_prefix_mask(4, 2), [1, 1, 0, 0])
-    np.testing.assert_array_equal(fixed_prefix_mask(3, 7), [1, 1, 1])
-    with pytest.raises(ValueError, match="at least 1"):
-        fixed_prefix_mask(4, 0)
+    # a K past the end keeps every token
+    for strategy, num_tokens, expected in (("fixed:2", 4, [1, 1, 0, 0]),
+                                           ("fixed:7", 3, [1, 1, 1])):
+        record = rollout_from_obj(valid_obj(num_tokens))
+        result = dynamic_prefix_reweight(record,
+                                         PipelineConfig(strategy=strategy))
+        np.testing.assert_array_equal(result.prefix_mask, expected)
 
 
 def test_snap_picks_first_boundary_at_or_after_the_fraction():

@@ -16,7 +16,7 @@ from teachcut.margin import teacher_top2_margin
 from teachcut.pipeline import (PipelineConfig, diagnose_batch, permute_batch,
                                process_batch)
 from teachcut.records import SegmentIndex
-from teachcut.reweight import fixed_prefix_mask, permute_release_points
+from teachcut.reweight import permute_release_points
 from teachcut.segmentation import SegmentScores
 from teachcut.synthetic import SyntheticConfig, generate_rollout, write_dataset
 
@@ -45,8 +45,6 @@ SETTINGS = [
      lambda value, path: teacher_top2_margin(CANDIDATES, support_size=value)),
     ("BinAccumulator.num_bins", "num_bins", 1,
      lambda value, path: BinAccumulator(value)),
-    ("fixed_prefix_mask.prefix_tokens", "prefix_tokens", 1,
-     lambda value, path: fixed_prefix_mask(10, value)),
     ("permute_release_points.seed", "seed", 0,
      lambda value, path: permute_release_points(ITEMS, value)),
     ("release_summary.response_len", "response_len", 1,

@@ -12,7 +12,7 @@ from teachcut.records import (dumps_obj, parse_rollout_line, rollout_to_obj,
 from teachcut.segmentation import segment_tokens
 from teachcut.synthetic import (GroundTruth, SyntheticConfig,
                                 generate_piecewise_rollout, generate_rollout,
-                                segment_mean_profile, write_dataset)
+                                write_dataset)
 
 from reference import oracle_change_point, planted_scores
 
@@ -33,17 +33,21 @@ def test_config_validation(kwargs, match):
         SyntheticConfig(**kwargs)
 
 
+def segment_means(config):
+    return generate_piecewise_rollout(config)[1].segment_means
+
+
 def test_mean_profile_applies_step_at_tau():
     config = SyntheticConfig(num_segments=4, true_tau=2,
                              pre_margin_mean=1.0, post_margin_mean=0.25)
-    np.testing.assert_array_equal(segment_mean_profile(config),
+    np.testing.assert_array_equal(segment_means(config),
                                   [1.0, 1.0, 0.25, 0.25])
     flat = SyntheticConfig(num_segments=3, pre_margin_mean=0.7)
-    np.testing.assert_array_equal(segment_mean_profile(flat), [0.7, 0.7, 0.7])
+    np.testing.assert_array_equal(segment_means(flat), [0.7, 0.7, 0.7])
     # an int pre mean is a real number; the post mean is not truncated to it
     mixed = SyntheticConfig(num_segments=4, true_tau=2, pre_margin_mean=1,
                             post_margin_mean=0.25)
-    np.testing.assert_array_equal(segment_mean_profile(mixed),
+    np.testing.assert_array_equal(segment_means(mixed),
                                   [1.0, 1.0, 0.25, 0.25])
 
 
