@@ -13,12 +13,13 @@ segment -1 and gain 0.0.
 
 Permute reads and parses the input once. Pass 1 checks each line on the
 pool and returns the decision its prior release wrote as four scalars,
-plus the arrays the rewrite needs and their sizes. The main process keeps
-only the scalars and spills each valid line to an anonymous temporary file
-(the input's size plus about 24 bytes per token) as one record: a head of
-six int64s (line bytes, tokens, segments, segment token ids, release span,
-empty at the closing brace when there is no ``release`` key), the line, the
-sampled advantage and loss mask, and the segments' bounds and token ids.
+plus the line's spill record up to the line: a head of six int64s (line
+bytes, tokens, segments, segment token ids, release span, empty at the
+closing brace when there is no ``release`` key), then the sampled advantage
+and loss mask, and the segments' bounds and token ids. The main process
+keeps only the scalars and spills each valid line to an anonymous temporary
+file (the input's size plus about 24 bytes per token) as that record
+followed by the line.
 Pass 2 draws the permutation and rewrites the spill in order in the main
 process, without the pool; each record's decision is its source's, imposed
 on the record's segments by _transferred_release. A line fails only in pass
@@ -83,7 +84,11 @@ def _prefix_tokens(strategy: str) -> int | None:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid strategy {strategy!r}: "
                          f"K must be an integer in ASCII digits")
-    k = int(digits)
+    try:
+        k = int(digits)
+    except ValueError:  # past the digits int() converts; too long to print
+        raise ValueError(f"invalid strategy: K must have at most "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if k < 1:
         raise ValueError(f"invalid strategy {strategy!r}: K must be at least 1")
     return k
@@ -510,20 +515,19 @@ def process_batch(input_path: str, output_path: str,
 _SPILL_HEAD = struct.Struct("6q")
 
 
-def _spill_line(raw: bytes, config: PipelineConfig) -> tuple:
+def _spill_line(raw: bytes, config: PipelineConfig) -> tuple[tuple, bytes]:
     """Pass 1 for one line: the decision as (total tokens, accepted, retained
-    tokens, BIC gain), the spill head's sizes and _release_span, and the
-    arrays pass 2 needs: the sampled advantage and loss mask, and the
-    segments' bounds and token ids."""
+    tokens, BIC gain), and the line's spill record up to the line: the head,
+    its sizes and _release_span, then the arrays pass 2 needs, the sampled
+    advantage and loss mask, and the segments' bounds and token ids."""
     obj = decode_line(raw)
     record = rollout_from_obj(obj, probs=config.probs)
     segments, accepted, retained, gain = _existing_decision(obj, record, config)
-    arrays = b"".join((sampled_advantage(record), record.loss_mask,
-                       segments.bounds, segments.token_ids))
+    head = _SPILL_HEAD.pack(len(raw), record.num_tokens, len(segments),
+                            len(segments.token_ids), *_release_span(obj, raw))
     return ((record.num_tokens, accepted, retained, gain),
-            (record.num_tokens, len(segments), len(segments.token_ids),
-             *_release_span(obj, raw)),
-            arrays)
+            b"".join((head, sampled_advantage(record), record.loss_mask,
+                      segments.bounds, segments.token_ids)))
 
 
 def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
@@ -550,25 +554,23 @@ def _existing_decision(obj: dict[str, Any], record: RolloutRecord,
     if not isinstance(mask, list) or len(mask) != record.num_tokens:
         raise invalid("expected a list with one entry per token", ".prefix_mask")
     mask = _float_array(mask, "release.prefix_mask")
-    bad = (mask != 0.0) & (mask != 1.0)
-    if bad.any():
-        raise invalid("expected 0 or 1", ".prefix_mask", int(np.argmax(bad)))
     segments = _segment_index_for(record, config)
-    if accepted:
-        # the mask is build_prefix_mask's on a layout the release may have
-        # cut; layouts are built in turn, and the first match ends the search
-        decision = ChangeDecision(segment, True, float(gain), None, None)
-        diffs = (build_prefix_mask(layout, decision, record.num_tokens) != mask
-                 for layout in _release_layouts(record, segments)
-                 if segment <= len(layout))
-        first = next(diffs, None)
-        if first is None:
-            raise invalid("past the record's last segment", ".release_segment")
-        if first.any() and all(diff.any() for diff in diffs):
-            raise invalid(f"not the mask of release_segment {segment}",
-                          ".prefix_mask", int(np.argmax(first)))
-    retained = int(mask.sum()) if accepted else record.num_tokens
-    return segments, accepted, retained, float(gain)
+    # the mask is build_prefix_mask's, every token when not accepted, on a
+    # layout the release may have cut; the first match ends the search
+    decision = ChangeDecision(segment, accepted, float(gain), None, None)
+    diffs = (build_prefix_mask(layout, decision, record.num_tokens) != mask
+             for layout in _release_layouts(record, segments)
+             if not accepted or segment <= len(layout))
+    first = next(diffs, None)
+    if first is None:
+        raise invalid("past the record's last segment", ".release_segment")
+    if first.any() and all(diff.any() for diff in diffs):
+        position = int(np.argmax(first))
+        message = (f"not the mask of release_segment {segment}" if accepted
+                   else "an unaccepted release keeps every token")
+        raise invalid(message if mask[position] in (0.0, 1.0)
+                      else "expected 0 or 1", ".prefix_mask", position)
+    return segments, accepted, int(mask.sum()), float(gain)
 
 
 def _release_layouts(record: RolloutRecord,
@@ -590,9 +592,9 @@ def _rewrite(spill: BinaryIO, decided: list[tuple], config: PipelineConfig,
     for source in _release_sources(len(decided), config.random_seed):
         (size, num_tokens, num_segments, num_ids, start,
          end) = _SPILL_HEAD.unpack(read(_SPILL_HEAD.size))
-        raw = read(size)
         floats = np.frombuffer(read(16 * num_tokens), np.float64)
         ints = np.frombuffer(read(8 * (num_segments + num_ids)), np.int64)
+        raw = read(size)
         segments = SegmentIndex._unchecked(ints[num_segments:],
                                            ints[:num_segments], num_tokens)
         decision = _transferred_release(decided[source], segments)
@@ -619,11 +621,10 @@ def permute_batch(input_path: str, output_path: str,
     decided: list[tuple] = []
     worker = partial(_run_lines, per_line=partial(_spill_line, config=config))
     with tempfile.TemporaryFile() as spill:
-        for raw, (scalars, head, arrays) in tally.passed(
+        for raw, (scalars, record) in tally.passed(
                 _map_chunks(_iter_chunks(input_path), worker, config.jobs)):
-            spill.write(_SPILL_HEAD.pack(len(raw), *head))
+            spill.write(record)
             spill.write(raw)
-            spill.write(arrays)
             decided.append(scalars)
         spill.seek(0)
         _write_release(output_path, _rewrite(spill, decided, config), tally)

@@ -93,7 +93,16 @@ def _check_int(name: str, value: Any, least: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
+        raise ValueError(f"{name} must be {bound}, got {_int_text(value)}")
+
+
+def _int_text(value: int) -> str:
+    """value in decimal, or its sign and size past the digits str() prints."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
 
 
 def _check_real(name: str, value: Any, *, finite: bool = True) -> float:

@@ -15,7 +15,8 @@ from typing import Any
 import numpy as np
 
 from .records import (RolloutRecord, SegmentIndex, TopKCandidates, _check_files,
-                      _check_int, _check_real, dumps_obj, rollout_to_obj)
+                      _check_int, _check_real, _int_text, dumps_obj,
+                      rollout_to_obj)
 
 
 def _check_generation(tokens_per_segment: int, support_size: int,
@@ -55,7 +56,8 @@ class SyntheticConfig:
             _check_int("true_tau", self.true_tau, 1)
             if self.true_tau >= self.num_segments:
                 raise ValueError(f"true_tau must lie in [1, "
-                                 f"{self.num_segments - 1}], got {self.true_tau}")
+                                 f"{self.num_segments - 1}], "
+                                 f"got {_int_text(self.true_tau)}")
 
 
 @dataclass(frozen=True)

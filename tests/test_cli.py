@@ -116,6 +116,10 @@ def test_fixed_strategy_forms(tmp_path, dataset, monkeypatch, capsys):
         expect_usage_exit(["release", "--in", dataset, "--out", str(bad),
                            "--strategy", strategy])
         assert "K must be an integer in ASCII digits" in capsys.readouterr().err
+    expect_usage_exit(["release", "--in", dataset, "--out", str(bad),
+                       "--strategy", "fixed:" + "9" * 5000])
+    assert ("invalid strategy: K must have at most 4300 digits"
+            in capsys.readouterr().err)
     assert not bad.exists()
 
 

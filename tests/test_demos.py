@@ -64,6 +64,34 @@ def test_benchmark_harness_smoke(tmp_path):
     assert done.stdout.split() == ["0", "0", "0"]  # wrong records per check
 
 
+_TRACE_SMOKE = """
+import os, sys
+import check, inputs, measure, replay
+work = sys.argv[1]
+dense = inputs.write_dense(os.path.join(work, "dense.jsonl"), 7, 8)
+released = os.path.join(work, "released.jsonl")
+measure.run_batch("release_dense", dense.path, released, 2, 7)
+ragged = inputs.write_ragged(os.path.join(work, "ragged.jsonl"), 7)
+for workload, path, kwargs in (
+        ("release_dense", dense.path, {}),
+        ("permute_dense", released, {"seed": 7}),
+        ("diagnose_ragged", ragged.path,
+         {"out_dir": os.path.join(work, "replay"),
+          "reference": check.diagnose_reference(ragged.path)})):
+    counts, _ = replay.replay(workload, path, replay.Tracer(True), **kwargs)
+    print(counts.lines, counts.valid)
+"""
+
+
+def test_traced_replay_smoke(tmp_path):
+    # run.py --trace 1 replays each workload through the public per-record
+    # functions; a library change that breaks one of them fails here
+    done = _run(["-c", _TRACE_SMOKE, str(tmp_path)], tmp_path,
+                str(ROOT / "benchmarks"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["8", "8", "8", "8", "268", "264"]
+
+
 def test_readme_library_section_lists_every_export():
     # the count in the export list's heading, and the list itself, the
     # paragraph after it; a name quoted elsewhere in the section is not listed

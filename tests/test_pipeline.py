@@ -859,7 +859,14 @@ def test_permute_requires_release_objects(tmp_path, monkeypatch, jobs):
          "not the mask of release_segment 3"),
         ("release_segment", {"release_segment": 0}, integer),
         ("release_segment", {"release_segment": True}, integer),
-        ("release_segment", {"release_segment": 3.0}, integer)]
+        ("release_segment", {"release_segment": 3.0}, integer),
+        (f"prefix_mask at position {len(mask) - 1}",
+         {"accepted": False, "prefix_mask": [1.0] * (len(mask) - 1) + [0.0]},
+         "an unaccepted release keeps every token")]
+    for value in (0.5, 7.0, -1.0):  # the first wrong entry is named
+        wrong = mask[:40] + [value] + mask[41:50] + [value] + mask[51:]
+        bad_fields.append(("prefix_mask at position 40",
+                           {"prefix_mask": wrong}, "expected 0 or 1"))
     lines = [json.dumps(planted_obj()).encode(), nan_gain]
     for _, changes, _ in bad_fields:
         obj = json.loads(line)
@@ -872,7 +879,7 @@ def test_permute_requires_release_objects(tmp_path, monkeypatch, jobs):
     pools = count_pools(monkeypatch)
     report = permute_batch(src, str(out), PipelineConfig(jobs=jobs))
     assert pools == ([] if jobs == 1 else [{"max_workers": 2}])
-    assert (report.num_records, report.num_errors) == (0, 12)
+    assert (report.num_records, report.num_errors) == (0, 16)
     assert "run release first" in report.errors[0][1]
     assert report.errors[1][1].startswith("line 2: release.bic_gain")
     assert [message for _, message in report.errors[2:]] == [
@@ -986,34 +993,53 @@ def test_transfers_match_per_record_functions(tmp_path, decisions):
                for line in outputs[0].splitlines())
 
 
-# sha256 of what permute --seed 4 wrote for each release of the seeded
-# transfer lines before it checked an accepted mask against its decision
-_UNCHECKED_PERMUTE_SHA256 = {
+# sha256 of what permute --seed 4 writes for each release of the seeded
+# transfer lines; one that keeps every token is full supervision
+_CONSISTENT_PERMUTE_SHA256 = {
     "full": "896a2bd238895e6a6b5b6b183923cf3262378ed56bd4a54eae9f8ab9589a33c8",
-    "fixed:7": "896a2bd238895e6a6b5b6b183923cf3262378ed56bd4a54eae9f8ab9589a33c8",
+    "fixed:5000": "896a2bd238895e6a6b5b6b183923cf3262378ed56bd4a54eae9f8ab9589a33c8",
     "builtin": "8c6e128fa8054a21a8ecf62ece74c96564374c2def03a7e539e9a9cabf561377",
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("release", ["full", "fixed:7", "builtin"])
-def test_permute_takes_every_consistent_release(tmp_path, release, jobs):
-    # full and fixed:K write no accepted mask. A --segments builtin release
-    # cuts each record on its tokens' segmentation, which is not its own
-    # segments where those leave their first token unassigned; permute,
-    # reading with --segments record, takes either layout
+def _permute_release(tmp_path, config):
     src = write_lines(tmp_path / "in.jsonl", seeded_transfer_lines())
     released, permuted = (str(tmp_path / name)
                           for name in ("released", "permuted"))
+    process_batch(src, released, config)
+    report = permute_batch(released, permuted,
+                           PipelineConfig(jobs=config.jobs, random_seed=4))
+    return report, Path(permuted).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("release", ["full", "fixed:5000", "builtin"])
+def test_permute_takes_every_consistent_release(tmp_path, release, jobs):
+    # full, and fixed:K with K past every response, keep every token, as an
+    # unaccepted release does. A --segments builtin release cuts each record
+    # on its tokens' segmentation, which is not its own segments where those
+    # leave their first token unassigned; permute, reading with --segments
+    # record, takes either layout
     config = (PipelineConfig(jobs=jobs, segments_source="builtin")
               if release == "builtin" else
               PipelineConfig(jobs=jobs, strategy=release))
-    process_batch(src, released, config)
-    report = permute_batch(released, permuted,
-                           PipelineConfig(jobs=jobs, random_seed=4))
+    report, permuted = _permute_release(tmp_path, config)
     assert (report.num_records, report.num_errors) == (60, 0)
-    assert (hashlib.sha256(Path(permuted).read_bytes()).hexdigest()
-            == _UNCHECKED_PERMUTE_SHA256[release])
+    assert (hashlib.sha256(permuted).hexdigest()
+            == _CONSISTENT_PERMUTE_SHA256[release])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_permute_refuses_a_fixed_prefix_that_drops_tokens(tmp_path, jobs):
+    # fixed:7 writes an unaccepted decision with a mask that keeps 7 tokens;
+    # permute would read it as every token kept, so each longer line is
+    # refused at its first dropped token
+    report, _ = _permute_release(
+        tmp_path, PipelineConfig(jobs=jobs, strategy="fixed:7"))
+    assert (report.num_records, report.num_errors) == (1, 59)
+    assert {message.split(": ", 1)[1] for _, message in report.errors} == {
+        "release.prefix_mask at position 7: "
+        "an unaccepted release keeps every token"}
 
 
 def test_permute_counts_each_bad_line_once(tmp_path, caplog):
@@ -1033,20 +1059,6 @@ def test_permute_counts_each_bad_line_once(tmp_path, caplog):
     assert report.num_records == 60
     assert [number for number, _ in report.errors] == [6, 21, 34]
     assert caplog.messages == [message for _, message in report.errors]
-
-
-@pytest.mark.parametrize("value", [0.5, 7.0, -1.0])
-def test_permute_rejects_prefix_mask_not_0_or_1(tmp_path, value):
-    released = str(tmp_path / "released.jsonl")
-    process_batch(write_objs(tmp_path / "one.jsonl", [planted_obj()]), released)
-    obj = read_objs(released)[0]
-    obj["release"]["prefix_mask"][40] = value
-    obj["release"]["prefix_mask"][50] = value
-    src = write_objs(tmp_path / "in.jsonl", [obj])
-    report = permute_batch(src, str(tmp_path / "out.jsonl"))
-    assert (report.num_records, report.num_errors) == (0, 1)
-    assert report.errors[0][1] == ("line 1: release.prefix_mask at position "
-                                   "40: expected 0 or 1")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1283,6 +1295,14 @@ def test_output_path_must_differ(tmp_path):
     (dict(strategy="fixed:1_000"), "K must be an integer in ASCII digits"),
     (dict(strategy="fixed:\u0663"), "K must be an integer in ASCII digits"),
     (dict(strategy=3), "unknown strategy 3"),
+    # past the digits int() converts or prints, the error still names the
+    # setting
+    (dict(strategy="fixed:" + "9" * 5000),
+     "^invalid strategy: K must have at most 4300 digits$"),
+    (dict(jobs=-10**5000),
+     "^jobs must be at least 1, got a negative integer of 16610 bits$"),
+    (dict(random_seed=-10**5000),
+     "^random_seed must be non-negative, got a negative integer of 16610 bits$"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):

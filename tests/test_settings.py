@@ -110,7 +110,7 @@ REAL_SETTINGS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [True, 2.5, "below"])
+@pytest.mark.parametrize("bad", [True, 2.5, "below", "far below"])
 @pytest.mark.parametrize("name, least, call", [entry[1:] for entry in SETTINGS],
                          ids=[entry[0] for entry in SETTINGS])
 def test_every_integer_setting_refuses_a_bool_a_float_and_a_low_value(
@@ -120,8 +120,9 @@ def test_every_integer_setting_refuses_a_bool_a_float_and_a_low_value(
     path.write_bytes(b"old data\n")
     (tmp_path / "ground_truth.jsonl").write_bytes(b"old truth\n")
     before = snapshot(tmp_path)
-    if bad == "below":
-        value = least - 1
+    if bad in ("below", "far below"):
+        # past the digits str() prints, the value is given by its size
+        value = least - (1 if bad == "below" else 10**5000)
         rule = "non-negative" if least == 0 else f"at least {least}"
     else:
         value, rule = bad, "an integer"

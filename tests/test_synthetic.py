@@ -26,6 +26,8 @@ from reference import oracle_change_point, planted_scores
     (dict(pre_margin_mean=math.inf), "pre_margin_mean"),
     (dict(num_segments=4, true_tau=0), "true_tau"),
     (dict(num_segments=4, true_tau=4), "true_tau"),
+    (dict(num_segments=4, true_tau=10**5000),
+     "^true_tau must lie in \\[1, 3\\], got an integer of 16610 bits$"),
     (dict(seed=-1), "seed must be non-negative"),
 ])
 def test_config_validation(kwargs, match):
