@@ -12,8 +12,7 @@ from .changepoint import ChangeDecision, detect_downward_change
 from .diagnostics import (BinAccumulator, BinnedStats, ReleaseSummary,
                           SnrReport, binned_advantage_stats,
                           binned_margin_curve, release_summary,
-                          snr_release_check, write_bins_csv, write_snr_csv,
-                          write_summary_csv)
+                          snr_release_check, write_bins_csv, write_summary_csv)
 from .margin import MarginSeries, teacher_top2_margin
 from .pipeline import (BatchReport, DiagnoseResult, PipelineConfig,
                        diagnose_batch, dynamic_prefix_reweight, permute_batch,
@@ -75,6 +74,5 @@ __all__ = [
     "teacher_top2_margin",
     "write_bins_csv",
     "write_dataset",
-    "write_snr_csv",
     "write_summary_csv",
 ]

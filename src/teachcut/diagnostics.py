@@ -250,36 +250,26 @@ def snr_release_check(m_prefix: float, v_prefix: float, m_suffix: float,
 def _cell(value: Any) -> str:
     if isinstance(value, float) and math.isnan(value):
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Any]) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
 def write_bins_csv(stats: BinnedStats, path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin", "count", "mean", "std", "normalized_std"])
-        for b in range(stats.num_bins):
-            writer.writerow([b, int(stats.bin_count[b]),
-                             _cell(float(stats.bin_mean[b])),
-                             _cell(float(stats.bin_std[b])),
-                             _cell(float(stats.normalized_std[b]))])
-
-
-def _write_row_csv(row: Any, path: str) -> None:
-    # a header of the dataclass's field names, then its values
-    names = [f.name for f in fields(row)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        writer.writerow([_cell(getattr(row, name)) for name in names])
+    _write_csv(path, ["bin", "count", "mean", "std", "normalized_std"],
+               zip(range(stats.num_bins), stats.bin_count.tolist(),
+                   stats.bin_mean.tolist(), stats.bin_std.tolist(),
+                   stats.normalized_std.tolist()))
 
 
 def write_summary_csv(summary: ReleaseSummary, path: str) -> None:
-    _write_row_csv(summary, path)
-
-
-def write_snr_csv(report: SnrReport, path: str) -> None:
-    _write_row_csv(report, path)
+    # a header of the dataclass's field names, then its values
+    names = [f.name for f in fields(summary)]
+    _write_csv(path, names, [[getattr(summary, name) for name in names]])

@@ -11,7 +11,7 @@ from teachcut.changepoint import ChangeDecision
 from teachcut.diagnostics import (BinAccumulator, binned_advantage_stats,
                                   binned_margin_curve, release_summary,
                                   snr_release_check, write_bins_csv,
-                                  write_snr_csv, write_summary_csv)
+                                  write_summary_csv)
 from teachcut.segmentation import SegmentIndex, SegmentScores
 
 from reference import release_improves_by_moments
@@ -244,12 +244,3 @@ def test_summary_csv_round_trip(tmp_path):
     by_name = dict(zip(rows[0], rows[1]))
     assert by_name["mean_relative_release_position"] == ""
     assert by_name["acceptance_rate"] == "0.0"
-
-
-def test_snr_csv_round_trip(tmp_path):
-    path = tmp_path / "snr.csv"
-    write_snr_csv(snr_release_check(1.0, 1.0, 0.0, 1.0), str(path))
-    rows = _read_csv(path)
-    by_name = dict(zip(rows[0], rows[1]))
-    assert by_name["release_improves"] == "true"
-    assert float(by_name["snr_full"]) == 0.5
