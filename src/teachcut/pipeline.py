@@ -59,9 +59,9 @@ from .diagnostics import (BinAccumulator, ReleaseSummary, BinnedStats,
 from .margin import MarginSeries, teacher_top2_margin
 from .records import (DataProcessingError, RecordValidationError, RolloutRecord,
                       TeachcutError, _at_line, _check_files, _check_int,
-                      _check_real, _float_array, decode_line, dumps_obj,
-                      iter_jsonl_lines, parse_rollout_line, rollout_from_obj,
-                      sampled_advantage)
+                      _check_real, _float_array, _int_text, decode_line,
+                      dumps_obj, iter_jsonl_lines, parse_rollout_line,
+                      rollout_from_obj, sampled_advantage)
 from .reweight import (ReleaseResult, _release_sources, _transferred_release,
                        build_prefix_mask, rescale_advantages)
 from .segmentation import SegmentIndex, aggregate_segment_scores, segment_tokens
@@ -124,6 +124,9 @@ class PipelineConfig:
             _check_int(name, getattr(self, name), least)
         if self.jobs is not None:
             _check_int("jobs", self.jobs, 1)
+            if self.jobs > sys.maxsize:  # _map_chunks's islice stop
+                raise ValueError(f"jobs must be at most {sys.maxsize}, "
+                                 f"got {_int_text(self.jobs)}")
         if self.segments_source not in _SEGMENT_SOURCES:
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")

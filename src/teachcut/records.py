@@ -35,8 +35,8 @@ class TeachcutError(Exception):
     """Base class for errors raised by this package."""
 
     def __reduce__(self):
-        # rebuilt from args and attributes without __init__, whose
-        # parameters are not args, so an error crosses a process pool intact
+        # rebuilt without __init__, whose parameters are not args, so an
+        # error crosses a caller's own pool intact; the batch pool sends text
         return Exception.__new__, (type(self), *self.args), self.__dict__
 
 

@@ -9,6 +9,7 @@ budget is prorated by the worker count actually available.
 import json
 import math
 import os
+import resource
 import time
 from pathlib import Path
 
@@ -301,6 +302,16 @@ def test_criterion_10_margin_curve_decays(capsys):
     _report(capsys, 10, ok, f"500 rollouts, spearman rho={rho:.3f}")
 
 
+def _cpu_seconds():
+    """User plus system CPU seconds of this process and of its reaped
+    children; a batch's pool workers are reaped when process_batch returns,
+    so a delta around the call is the batch's CPU. Set against the wall
+    time, it shows whether a run over budget lost its time to CPU steal."""
+    return sum(usage.ru_utime + usage.ru_stime for usage in
+               map(resource.getrusage,
+                   (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+
 def test_criterion_11_throughput(capsys, tmp_path):
     record, _ = generate_rollout(
         np.concatenate([np.full(50, 1.0), np.full(50, 0.1)]),
@@ -317,15 +328,17 @@ def test_criterion_11_throughput(capsys, tmp_path):
     jobs = min(4, cores)
     budget = 10.0 * (4.0 / jobs)
     out = str(tmp_path / "big_out.jsonl")
+    cpu_before = _cpu_seconds()
     start = time.perf_counter()
     report = process_batch(src, out, PipelineConfig(jobs=jobs))
     elapsed = time.perf_counter() - start
+    cpu = _cpu_seconds() - cpu_before
     processed = report.num_records == 10_000 and report.num_errors == 0
     ok = processed and elapsed < budget
     size_gb = os.path.getsize(src) / 1e9
     os.unlink(src)
     os.unlink(out)
     _report(capsys, 11, ok,
-            f"10000 rollouts ({size_gb:.2f}GB) in {elapsed:.1f}s with "
-            f"{jobs} worker(s), budget {budget:.0f}s, "
+            f"10000 rollouts ({size_gb:.2f}GB) in {elapsed:.1f}s "
+            f"({cpu:.1f}s CPU) with {jobs} worker(s), budget {budget:.0f}s, "
             f"codec orjson {records.orjson.__version__}")

@@ -296,14 +296,20 @@ def test_unwritable_output_is_a_usage_error(tmp_path, dataset, capsys,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("jobs, message", [
+    ("0", "jobs must be at least 1, got 0"),
+    # past islice's stop, which the pool's first chunks are read with
+    (str(sys.maxsize + 1), f"jobs must be at most {sys.maxsize}, got "),
+], ids=["zero", "past_maxsize"])
 @pytest.mark.parametrize("command", ["release", "permute", "diagnose"])
 def test_a_bad_setting_is_reported_before_a_missing_input(tmp_path, capsys,
-                                                          command):
+                                                          command, jobs,
+                                                          message):
     # the config is built first; the batch checks its paths after that
     expect_usage_exit([command, "--in", str(tmp_path / "absent.jsonl"),
-                       "--out", str(tmp_path / "out"), "--jobs", "0"])
+                       "--out", str(tmp_path / "out"), "--jobs", jobs])
     err = capsys.readouterr().err
-    assert "jobs must be at least 1, got 0" in err
+    assert message in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
 

@@ -1,6 +1,7 @@
 """Each demo script runs to completion against the library API, the
 benchmark harness imports what it needs from it and passes its own output
-checks on small inputs, and README's Library section lists every export."""
+checks on small inputs, README's Library section lists every export, and
+the tier-1 workflow runs README's dev-mode command."""
 
 import os
 import re
@@ -104,3 +105,16 @@ def test_readme_library_section_lists_every_export():
     assert int(exports[1]) == len(teachcut.__all__)
     assert [name for name in teachcut.__all__
             if f"`{name}`" not in exports[2]] == []
+
+
+def test_the_workflow_runs_readme_dev_mode_command():
+    # both read as text, so no YAML parser is needed; README's command, its
+    # backslash continuations joined, is one run: line of the workflow
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n([^`]*-X dev[^`]*?)\n```", readme)
+    assert block is not None
+    command = re.sub(r"[ \t]*\\\n[ \t]*", " ", block[1])
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = re.findall(r"^[ \t]*(?:- )?run:[ \t]*(.*?)[ \t]*$", workflow,
+                      re.MULTILINE)
+    assert command in runs, (command, runs)

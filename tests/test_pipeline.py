@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import sys
 import tempfile
 import weakref
 from concurrent.futures import Future
@@ -1303,6 +1304,11 @@ def test_output_path_must_differ(tmp_path):
      "^jobs must be at least 1, got a negative integer of 16610 bits$"),
     (dict(random_seed=-10**5000),
      "^random_seed must be non-negative, got a negative integer of 16610 bits$"),
+    # jobs bounds the pool's first chunks, an islice stop
+    (dict(jobs=sys.maxsize + 1),
+     f"^jobs must be at most {sys.maxsize}, got {sys.maxsize + 1}$"),
+    (dict(jobs=10**5000),
+     f"^jobs must be at most {sys.maxsize}, got an integer of 16610 bits$"),
 ])
 def test_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
