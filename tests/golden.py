@@ -42,12 +42,19 @@ RELEASES = {
     "release fixed:7": dict(strategy="fixed:7"),
     "release fixed:5000": dict(strategy="fixed:5000"),
     "release --segments builtin": dict(segments_source="builtin"),
+    "release --top-k 2": dict(support_size=2),
 }
 # permute refuses each line of a fixed:7 output that keeps fewer than all
 # its tokens, which is every line here
 PERMUTED = ("release bic", "release full", "release fixed:5000",
             "release --segments builtin")
 PERMUTE_SEED = 5
+# diagnose at the defaults, and with each of its own settings moved off them
+DIAGNOSES = {
+    "diagnose": {},
+    "diagnose --top-k 2 --bins 7 --gain-threshold 2":
+        dict(support_size=2, num_bins=7, gain_threshold=2.0),
+}
 
 
 def dense_lines() -> list[bytes]:
@@ -102,6 +109,26 @@ def ragged_lines() -> list[bytes]:
     return lines
 
 
+def crossed_lines() -> list[bytes]:
+    """12 records of 120 tokens in 12 segments where, at every third token,
+    the teacher's favourite is the student's third candidate: there a
+    support of 2 measures a margin of 1, and one of 4 the planted one. Half
+    plant a drop, and the planted means differ, so the default threshold of
+    6 and one of 2 split the bic gains differently."""
+    lines = []
+    for index in range(12):
+        means = np.full(12, 2.0 + 0.5 * index)
+        if index % 2:
+            means[index // 2 + 3:] = 0.2
+        record, _ = generate_rollout(means, tokens_per_segment=10,
+                                     noise_std=0.3, seed=31, index=index)
+        obj = rollout_to_obj(record)
+        for row in obj["topk"]["teacher_logp"][::3]:
+            row[0], row[2] = row[2], row[0]
+        lines.append(json.dumps(obj).encode())
+    return lines
+
+
 def dataset_lines(root: Path) -> list[bytes]:
     """write_dataset's 200 planted records."""
     path = root / "dataset" / "data.jsonl"
@@ -122,7 +149,8 @@ def hostile_lines() -> list[bytes]:
 def write_inputs(root: Path) -> dict[str, Path]:
     """Each input's path under root, written from its builder."""
     built = {"dense": dense_lines(), "ragged": ragged_lines(),
-             "dataset": dataset_lines(root), "hostile": hostile_lines()}
+             "dataset": dataset_lines(root), "hostile": hostile_lines(),
+             "crossed": crossed_lines()}
     paths = {}
     for name, lines in built.items():
         paths[name] = root / f"{name}.jsonl"
@@ -170,11 +198,12 @@ def run_input(name: str, src: Path, root: Path) -> dict[str, dict]:
                 permuted[sha] = _entry(report, {"out.jsonl": out})
             entries[f"{name}/permute --seed {PERMUTE_SEED} of {command}"
                     f"/jobs{jobs}"] = permuted[sha]
-        diag = work / "diag"
-        report = diagnose_batch(str(src), str(diag),
-                                PipelineConfig(jobs=jobs)).report
-        entries[f"{name}/diagnose/jobs{jobs}"] = _entry(
-            report, {csv: diag / csv for csv in CSVS})
+        for command, settings in DIAGNOSES.items():
+            diag = work / command.replace(" ", "_")
+            report = diagnose_batch(str(src), str(diag),
+                                    PipelineConfig(jobs=jobs, **settings)).report
+            entries[f"{name}/{command}/jobs{jobs}"] = _entry(
+                report, {csv: diag / csv for csv in CSVS})
     return entries
 
 
