@@ -60,8 +60,6 @@ def _add_batch_flags(sub: argparse.ArgumentParser) -> None:
                      choices=_SEGMENT_SOURCES,
                      help="take segment layout from the record when present, "
                           "or always re-derive it from token surfaces")
-    sub.add_argument("--probs", action="store_true",
-                     help="candidate arrays hold probabilities; convert to logs")
     sub.add_argument("--strict", action="store_true",
                      help="abort on the first bad record instead of skipping")
     sub.add_argument("--jobs", type=int,

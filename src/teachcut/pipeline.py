@@ -112,7 +112,6 @@ class PipelineConfig:
     gain_threshold: float = 6.0
     strategy: str = "bic"
     segments_source: str = "record"
-    probs: bool = False
     strict: bool = False
     jobs: int | None = None
     random_seed: int = 0
@@ -130,10 +129,8 @@ class PipelineConfig:
         if self.segments_source not in _SEGMENT_SOURCES:
             raise ValueError(f"segments_source must be 'record' or 'builtin', "
                              f"got {self.segments_source!r}")
-        for name in ("probs", "strict"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, "
-                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"strict must be a bool, got {self.strict!r}")
         # an infinite threshold is legal: no gain lies strictly above it
         _check_real("gain_threshold", self.gain_threshold, finite=False)
 
@@ -490,8 +487,7 @@ def _run_lines(chunk: Iterable[tuple[int, bytes]],
 
 def _release_line(raw: bytes, config: PipelineConfig) -> tuple:
     obj = decode_line(raw)
-    result = dynamic_prefix_reweight(rollout_from_obj(obj, probs=config.probs),
-                                     config)
+    result = dynamic_prefix_reweight(rollout_from_obj(obj), config)
     return _encode_release(*_release_span(obj, raw), result)
 
 
@@ -524,7 +520,7 @@ def _spill_line(raw: bytes, config: PipelineConfig) -> tuple[tuple, bytes]:
     its sizes and _release_span, then the arrays pass 2 needs, the sampled
     advantage and loss mask, and the segments' bounds and token ids."""
     obj = decode_line(raw)
-    record = rollout_from_obj(obj, probs=config.probs)
+    record = rollout_from_obj(obj)
     segments, accepted, retained, gain = _existing_decision(obj, record, config)
     head = _SPILL_HEAD.pack(len(raw), record.num_tokens, len(segments),
                             len(segments.token_ids), *_release_span(obj, raw))
@@ -642,7 +638,7 @@ def _diagnose_line(raw: bytes, config: PipelineConfig,
                    ) -> tuple[tuple, tuple, tuple]:
     # the record's own bin partials, which the main process adds in line
     # order, so the bins do not depend on how the input was chunked
-    record = parse_rollout_line(raw, probs=config.probs)
+    record = parse_rollout_line(raw)
     margins, segments, decision = _analyze(record, config)
     return (_series_bins(sampled_advantage(record), config.num_bins),
             _series_bins(margins.values, config.num_bins),

@@ -24,8 +24,6 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 import orjson
 
-# Floor applied when --probs converts probabilities to logs.
-PROB_FLOOR = 1e-12
 # Least log-probability a record may hold: every advantage and margin then
 # lies within +-1e100, so no square, rescale or batch sum passes float range.
 LOGP_FLOOR = -1e100
@@ -319,7 +317,7 @@ def _topk_rows(topk: dict, key: str, typecode: str) -> tuple[np.ndarray, list[in
             field=f"topk.{key}") from None
 
 
-def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool) -> TopKCandidates:
+def _candidates_from_obj(topk: Any, num_tokens: int) -> TopKCandidates:
     if not isinstance(topk, dict):
         raise RecordValidationError("expected an object", field="topk")
     for key in ("ids", "student_logp", "teacher_logp"):
@@ -346,9 +344,6 @@ def _candidates_from_obj(topk: Any, num_tokens: int, probs: bool) -> TopKCandida
         raise RecordValidationError("fewer than 2 candidates",
                                     field="topk.ids", position=shortest)
 
-    if probs:
-        student = np.log(np.maximum(student, PROB_FLOOR))
-        teacher = np.log(np.maximum(teacher, PROB_FLOOR))
     ends = np.cumsum(lengths)
     _check_logp(student, "topk.student_logp", ends)
     _check_logp(teacher, "topk.teacher_logp", ends)
@@ -424,22 +419,17 @@ def _segments_error(raw: list, num_tokens: int) -> RecordValidationError:
     raise AssertionError("segments passed every per-segment check")
 
 
-def rollout_from_obj(obj: Any, *, probs: bool = False,
+def rollout_from_obj(obj: Any, *,
                      line_number: int | None = None) -> RolloutRecord:
-    """Validate a decoded JSON object and build a RolloutRecord.
-
-    ``probs`` treats the topk arrays as probabilities and converts them via
-    natural log with floor PROB_FLOOR; the sampled log-prob arrays are never
-    converted.
-    """
+    """Validate a decoded JSON object and build a RolloutRecord."""
     try:
-        return _rollout_from_obj(obj, probs)
+        return _rollout_from_obj(obj)
     except _RecordError as exc:
         exc.line_number = line_number
         raise
 
 
-def _rollout_from_obj(obj: Any, probs: bool) -> RolloutRecord:
+def _rollout_from_obj(obj: Any) -> RolloutRecord:
     if not isinstance(obj, dict):
         raise RecordParseError("top-level value is not an object")
     for key in ("rollout_id", "tokens", "teacher_logp", "student_logp", "loss_mask"):
@@ -482,7 +472,7 @@ def _rollout_from_obj(obj: Any, probs: bool) -> RolloutRecord:
 
     candidates = None
     if obj.get("topk") is not None:
-        candidates = _candidates_from_obj(obj["topk"], num_tokens, probs)
+        candidates = _candidates_from_obj(obj["topk"], num_tokens)
 
     segments = None
     if obj.get("segments") is not None:
@@ -495,11 +485,11 @@ def _rollout_from_obj(obj: Any, probs: bool) -> RolloutRecord:
                          loss_mask=mask, candidates=candidates, segments=segments)
 
 
-def parse_rollout_line(line: bytes | str, *, probs: bool = False,
+def parse_rollout_line(line: bytes | str, *,
                        line_number: int | None = None) -> RolloutRecord:
     """Parse and validate one JSONL line."""
     return rollout_from_obj(decode_line(line, line_number=line_number),
-                            probs=probs, line_number=line_number)
+                            line_number=line_number)
 
 
 # ----------------------------------------------------------------------------

@@ -143,6 +143,15 @@ def test_release_has_no_random_control(tmp_path, dataset, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["release", "diagnose", "permute"])
+def test_there_is_no_probs_flag(tmp_path, dataset, capsys, command):
+    # every log-prob field, top-K included, holds log-probs
+    out = tmp_path / "out"
+    expect_usage_exit([command, "--in", dataset, "--out", str(out), "--probs"])
+    assert "unrecognized arguments: --probs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path, capsys):
     expect_usage_exit(["release", "--in", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "o.jsonl")])

@@ -1198,36 +1198,22 @@ def test_diagnose_empty_and_junk_inputs(tmp_path):
     assert result.summary is None
 
 
-def test_probs_mode_matches_logp_mode(tmp_path):
-    obj = planted_obj()
-    for t, keep in ((5, 2), (40, 3)):  # short rows
-        for key in ("ids", "student_logp", "teacher_logp"):
-            obj["topk"][key][t] = obj["topk"][key][t][:keep]
-    prob_obj = json.loads(json.dumps(obj))
-    topk = prob_obj["topk"]
-    topk["student_logp"] = [[math.exp(v) for v in row]
-                            for row in topk["student_logp"]]
-    topk["teacher_logp"] = [[math.exp(v) for v in row]
-                            for row in topk["teacher_logp"]]
-    log_src = write_objs(tmp_path / "log.jsonl", [obj])
-    prob_src = write_objs(tmp_path / "prob.jsonl", [prob_obj])
-    log_out = str(tmp_path / "log_out.jsonl")
-    prob_out = str(tmp_path / "prob_out.jsonl")
-    process_batch(log_src, log_out)
-    process_batch(prob_src, prob_out, PipelineConfig(probs=True))
-    log_release = read_objs(log_out)[0]["release"]
-    prob_release = read_objs(prob_out)[0]["release"]
-    assert prob_release["release_segment"] == log_release["release_segment"]
-    assert prob_release["prefix_mask"] == log_release["prefix_mask"]
-    assert prob_release["bic_gain"] == pytest.approx(log_release["bic_gain"],
-                                                     rel=1e-6)
-    # the converted rows, short ones included, equal the log-prob rows
-    log_cands = parse_rollout_line(to_line(obj)).candidates
-    prob_cands = parse_rollout_line(to_line(prob_obj), probs=True).candidates
-    np.testing.assert_allclose(prob_cands.teacher_logp, log_cands.teacher_logp,
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(prob_cands.student_logp, log_cands.student_logp,
-                               rtol=1e-12, atol=1e-12)
+@pytest.mark.parametrize("run", [
+    lambda src, out: process_batch(src, out, PipelineConfig(strategy="bic")),
+    lambda src, out: diagnose_batch(src, out).report,
+], ids=["release_bic", "diagnose"])
+def test_a_line_of_topk_probabilities_is_one_error_on_its_line(tmp_path, run):
+    # every log-prob field, top-K included, holds log-probs: probabilities
+    # there are refused, not converted
+    probs = valid_obj(num_tokens=2, num_candidates=2)
+    probs["topk"]["student_logp"] = [[0.5, 0.25], [0.5, 0.25]]
+    probs["topk"]["teacher_logp"] = [[0.8, 0.0], [0.8, 0.1]]
+    src = write_objs(tmp_path / "in.jsonl", [planted_obj(0, noise=0.3), probs,
+                                             planted_obj(1, noise=0.3)])
+    report = run(src, str(tmp_path / "out"))
+    assert (report.num_records, report.num_errors) == (2, 1)
+    assert report.errors == ((2, "line 2: topk.student_logp at position 0: "
+                                 "log-probability > 0"),)
 
 
 def test_segments_source_builtin_overrides_record(tmp_path):

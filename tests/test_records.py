@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachcut.records import (LOGP_FLOOR, PROB_FLOOR, DataProcessingError,
+from teachcut.records import (LOGP_FLOOR, DataProcessingError,
                               RecordParseError, RecordValidationError,
                               decode_line, iter_jsonl_lines,
                               parse_rollout_line, rollout_from_obj,
@@ -399,28 +399,6 @@ def test_segments_validation():
     obj["segments"] = [[0, 1], [], [2, 3]]
     record = parse_rollout_line(to_line(obj))
     assert len(record.segments) == 2  # empties dropped
-
-
-def test_probs_mode_converts_topk_only():
-    obj = valid_obj(num_tokens=2, num_candidates=2)
-    obj["topk"]["student_logp"] = [[0.5, 0.25], [0.5, 0.25]]
-    obj["topk"]["teacher_logp"] = [[0.8, 0.0], [0.8, 0.1]]
-    record = parse_rollout_line(to_line(obj), probs=True)
-    np.testing.assert_allclose(record.candidates.student_logp,
-                               np.log([0.5, 0.25, 0.5, 0.25]))
-    # zero probability floors instead of -inf
-    np.testing.assert_allclose(record.candidates.teacher_logp,
-                               np.log([0.8, PROB_FLOOR, 0.8, 0.1]))
-    # sampled arrays stay untouched
-    np.testing.assert_array_equal(record.sampled_teacher_logp, [-0.2, -0.2])
-
-
-def test_probs_mode_rejects_values_above_one():
-    obj = valid_obj(num_tokens=2, num_candidates=2)
-    obj["topk"]["student_logp"] = [[0.5, 0.25], [0.5, 0.25]]
-    obj["topk"]["teacher_logp"] = [[1.5, 0.1], [0.8, 0.1]]
-    with pytest.raises(RecordValidationError, match="> 0"):
-        parse_rollout_line(to_line(obj), probs=True)
 
 
 def test_round_trip_to_obj(tmp_path):

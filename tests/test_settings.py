@@ -79,8 +79,6 @@ SETTINGS = [
 # (id, the setting's name, a call with the setting set to value) for the
 # settings that take only a bool
 BOOL_SETTINGS = [
-    ("PipelineConfig.probs", "probs",
-     lambda value: PipelineConfig(probs=value)),
     ("PipelineConfig.strict", "strict",
      lambda value: PipelineConfig(strict=value)),
 ]
