@@ -5,7 +5,8 @@ one cumulative token count per segment, checked once when it is built. The
 built-in segmenter is a deterministic rule: a boundary closes after token t
 when its surface, after stripping trailing closing quotes/brackets, ends with a
 sentence terminal, or when the surface contains a blank line. Records may carry
-precomputed ``segments``, which take precedence over this rule.
+precomputed ``segments``, which take precedence over this rule unless
+``--segments builtin``.
 """
 
 from __future__ import annotations

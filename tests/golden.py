@@ -7,7 +7,9 @@ counts and the sha256 of its error list. The manifest also holds each
 input's sha256 and the numpy and orjson versions it was written with: the
 inputs' bytes rest on numpy's PCG64 stream, and the outputs' on orjson's
 float text, so a new version of either may change a hash with no change to
-the program. ``tests/test_golden.py`` runs the matrix and checks it.
+the program. The tier-1 workflow installs both versions, and a manifest
+written under others moves its pins too, which ``tests/test_demos.py``
+checks. ``tests/test_golden.py`` runs the matrix and checks it.
 
 A change that alters outputs by design rewrites the manifest,
 

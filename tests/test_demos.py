@@ -1,7 +1,8 @@
 """Each demo script runs to completion against the library API, the
 benchmark harness imports what it needs from it and passes its own output
 checks on small inputs, README's Library section lists every export, and
-the tier-1 workflow runs README's dev-mode command."""
+the tier-1 workflow runs README's dev-mode command with the numpy and
+orjson that the golden manifest was written with."""
 
 import os
 import re
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import golden
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,3 +121,15 @@ def test_the_workflow_runs_readme_dev_mode_command():
     runs = re.findall(r"^[ \t]*(?:- )?run:[ \t]*(.*?)[ \t]*$", workflow,
                       re.MULTILINE)
     assert command in runs, (command, runs)
+
+
+def test_the_workflow_installs_the_golden_manifests_versions():
+    # the manifest's hashes rest on numpy's random stream and orjson's float
+    # text, so a runner with other versions would fail test_golden
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    install = re.findall(r"^[ \t]*run:[ \t]*(.*pip install.*)$", workflow,
+                         re.MULTILINE)
+    assert len(install) == 1, install
+    pins = dict(re.findall(r"\b(numpy|orjson)==(\S+)", install[0]))
+    manifest = golden.load()
+    assert pins == {name: manifest[name] for name in ("numpy", "orjson")}
