@@ -114,9 +114,8 @@ def ragged_lines() -> list[bytes]:
 def crossed_lines() -> list[bytes]:
     """12 records of 120 tokens in 12 segments where, at every third token,
     the teacher's favourite is the student's third candidate: there a
-    support of 2 measures a margin of 1, and one of 4 the planted one. Half
-    plant a drop, and the planted means differ, so the default threshold of
-    6 and one of 2 split the bic gains differently."""
+    support of 2 measures a margin of 1, and one of 4 the planted one. Every
+    second record plants a drop, each after a different segment."""
     lines = []
     for index in range(12):
         means = np.full(12, 2.0 + 0.5 * index)
